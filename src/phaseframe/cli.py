@@ -67,12 +67,12 @@ def _load_verified_frame(path: str):
     sound files whose operators violate a frame invariant exit 2.
     """
     try:
-        frame = load_frame(path, DEFAULT_TOL)
+        loaded = load_frame(path, DEFAULT_TOL, with_sha256=True)
     except FrameFileError as exc:
         return None, _fail(str(exc))
     except PhaseFrameError as exc:
         return None, _fail(f"frame verification failed: {exc}", EXIT_FRAME_INVALID)
-    return (frame, sha256_file(path)), EXIT_OK
+    return loaded, EXIT_OK
 
 
 # --------------------------------------------------------------------------

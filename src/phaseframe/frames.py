@@ -17,7 +17,7 @@ frames: the doubled phase space for even dimension and the Z2^3 example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -70,12 +70,16 @@ class ProjectiveFrame:
 
     ``operators[i]`` corresponds to ``group.elements[i]`` (lexicographic
     order). ``metadata`` records how the frame was built, for serialization.
+    The operators are copied into one read-only array the frame owns, so the
+    invariant pass it remembers per tolerance cannot go stale.
     """
 
     group: FiniteAbelianGroup
     operators: tuple[np.ndarray, ...]
     dim: int
     metadata: Mapping[str, Any] = field(default_factory=dict)
+    _stack: np.ndarray = field(init=False, repr=False)
+    _verified: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         ops = tuple(as_matrix(op) for op in self.operators)
@@ -88,15 +92,18 @@ class ProjectiveFrame:
                 raise DimensionMismatch(
                     f"operator shape {op.shape} does not match dim {self.dim}"
                 )
-            op.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
+        stack = np.stack(ops)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "operators", tuple(stack))
         object.__setattr__(self, "metadata", dict(self.metadata))
 
     def operator(self, g) -> np.ndarray:
         return self.operators[self.group.index(g)]
 
     def stack(self) -> np.ndarray:
-        return np.stack(self.operators)
+        """The operators as one read-only (|G|, d, d) array."""
+        return self._stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,92 +159,114 @@ def gen_pauli(d: int) -> tuple[np.ndarray, np.ndarray]:
 # invariant checks
 
 
-def _unitarity_residual(ops: tuple[np.ndarray, ...]) -> float:
-    d = ops[0].shape[0]
-    eye = np.eye(d)
-    return max(max_abs(op.conj().T @ op - eye) for op in ops)
+# Every named invariant, with the message it raises under. Residuals are
+# compared as ``not r <= limit`` so that a NaN residual fails.
+_MESSAGES = {
+    "unitarity": "operator not unitary: residual {r:.3e} exceeds {limit:.3e}",
+    "identity_at_origin": "identity element maps to a non-identity operator (residual {r:.3e})",
+    "inverse_convention": "inverse convention violated: P(g)^-1 != P(g^-1), residual {r:.3e}",
+    "projectivity": "products leave the frame up to scalars: residual {r:.3e}",
+    "cocycle_modulus": "cocycle has non-unimodular values (residual {r:.3e})",
+    "cocycle_left_unit": "alpha(e, g) != 1 (residual {r:.3e})",
+    "cocycle_right_unit": "alpha(g, e) != 1 (residual {r:.3e})",
+    "cocycle_inverse_pairs": "alpha(g, g^-1) != 1 (residual {r:.3e})",
+    "cocycle_identity": "2-cocycle identity violated (residual {r:.3e})",
+    "spanning": "operators span only {rank} of {d2} matrix dimensions",
+}
+# What each entry point judges, in the order it raises. The report judges
+# spanning by the Fourier frame bounds instead.
+_FRAME_CHECKS = ("unitarity", "identity_at_origin", "inverse_convention", "projectivity",
+                 "cocycle_modulus", "cocycle_inverse_pairs", "cocycle_identity", "spanning")
+_COCYCLE_CHECKS = ("projectivity", "cocycle_modulus", "cocycle_left_unit",
+                   "cocycle_right_unit", "cocycle_inverse_pairs", "cocycle_identity")
+_REPORT_CHECKS = _FRAME_CHECKS[:-1]
 
 
-def _identity_residual(ops: tuple[np.ndarray, ...], d: int) -> float:
-    return max_abs(ops[0] - np.eye(d))
+class _Invariants(NamedTuple):
+    """One invariant pass at one tolerance: the cocycle and each (residual, limit)."""
+
+    cocycle: CocycleTable
+    residuals: dict[str, tuple[float, float]]
 
 
-def _inverse_residual(group: FiniteAbelianGroup, ops: tuple[np.ndarray, ...]) -> float:
-    inv = group._inv
-    return max(max_abs(ops[a].conj().T - ops[inv[a]]) for a in range(group.size))
-
-
-def _extract_cocycle(
-    group: FiniteAbelianGroup, ops: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, float]:
+def _extract_cocycle(group: FiniteAbelianGroup, stack: np.ndarray) -> tuple[np.ndarray, float]:
     """Best-fit scalars alpha(g, g') and the worst residual |P_g P_g' - alpha P_{gg'}|."""
-    n = group.size
-    d = ops[0].shape[0]
-    stack = np.stack(ops)
+    n, d = group.size, stack.shape[1]
     mul = group._mul
     values = np.empty((n, n), dtype=np.complex128)
-    residual = 0.0
+    worst = np.empty(n)
     for a in range(n):
-        prod = ops[a] @ stack  # (n, d, d)
+        prod = stack[a] @ stack  # (n, d, d)
         target = stack[mul[a]]
         # alpha = <target, prod> / <target, target>; targets are unitary, norm^2 = d.
         alpha = np.einsum("nij,nij->n", target.conj(), prod) / d
         values[a] = alpha
-        residual = max(residual, max_abs(prod - alpha[:, None, None] * target))
-    return values, residual
+        worst[a] = max_abs(prod - alpha[:, None, None] * target)
+    return values, float(worst.max())
 
 
 def _cocycle_identity_residual(group: FiniteAbelianGroup, values: np.ndarray) -> float:
-    """Worst violation of alpha(a,b) alpha(ab,c) = alpha(b,c) alpha(a,bc) over all triples."""
+    """Worst violation of alpha(a,b) alpha(ab,c) = alpha(b,c) alpha(a,bc) over all triples.
+
+    Runs one first index a at a time, so it needs O(|G|^2) memory.
+    """
     mul = group._mul
-    lhs = values[:, :, None] * values[mul, :]
-    rhs = values[None, :, :] * values[:, mul]
-    return float(np.max(np.abs(lhs - rhs)))
+    worst = np.empty(group.size)
+    for a, row in enumerate(values):
+        lhs = row[:, None] * values[mul[a]]  # [b, c] = alpha(a, b) alpha(ab, c)
+        rhs = values * row[mul]  # [b, c] = alpha(b, c) alpha(a, bc)
+        worst[a] = max_abs(lhs - rhs)
+    return float(worst.max())
 
 
-def _spanning_svals(ops: tuple[np.ndarray, ...]) -> np.ndarray:
-    d = ops[0].shape[0]
-    flat = np.stack(ops).reshape(len(ops), d * d)
-    return np.linalg.svd(flat, compute_uv=False)
+def _invariant_pass(frame: ProjectiveFrame, tol: Tolerance) -> _Invariants:
+    """Derive the cocycle and every named invariant residual of ``frame``."""
+    group, stack, d = frame.group, frame._stack, frame.dim
+    n = group.size
+    inv = group._inv
+    band = tol.band(1.0)
+    eye = np.eye(d)
+    adjoints = stack.conj().transpose(0, 2, 1)
+    values, projectivity = _extract_cocycle(group, stack)
+    flat = stack.reshape(n, d * d)
+    rank = 0
+    if np.isfinite(flat).all():
+        svals = np.linalg.svd(flat, compute_uv=False)
+        rank = int(np.sum(svals > tol.band(float(svals[0]))))
+    residuals = {
+        "unitarity": max_abs(adjoints @ stack - eye),
+        "identity_at_origin": max_abs(stack[0] - eye),
+        "inverse_convention": max_abs(adjoints - stack[inv]),
+        "projectivity": projectivity,
+        "cocycle_modulus": max_abs(np.abs(values) - 1.0),
+        "cocycle_left_unit": max_abs(values[0, :] - 1.0),
+        "cocycle_right_unit": max_abs(values[:, 0] - 1.0),
+        "cocycle_inverse_pairs": max_abs(values[np.arange(n), inv] - 1.0),
+        "cocycle_identity": _cocycle_identity_residual(group, values),
+    }
+    table = {name: (r, band) for name, r in residuals.items()}
+    table["spanning"] = (d * d - rank, 0)  # matrix dimensions left unspanned
+    return _Invariants(cocycle=CocycleTable(group=group, values=values), residuals=table)
+
+
+def _check(frame: ProjectiveFrame, tol: Tolerance, names) -> _Invariants:
+    """The frame's invariant pass at ``tol``, run once and remembered; raises on
+    the first of ``names`` that fails."""
+    found = frame._verified.get(tol)
+    if found is None:
+        found = frame._verified[tol] = _invariant_pass(frame, tol)
+    d2 = frame.dim * frame.dim
+    for name in names:
+        r, limit = found.residuals[name]
+        if not r <= limit:
+            error = NotAFrame if name == "spanning" else NotProjective
+            raise error(_MESSAGES[name].format(r=r, limit=limit, rank=d2 - r, d2=d2))
+    return found
 
 
 def validate_frame(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> None:
     """Run the full invariant suite; raises on the first violated invariant."""
-    ops = frame.operators
-    band = tol.band(1.0)
-
-    r = _unitarity_residual(ops)
-    if r > band:
-        raise NotProjective(f"operator not unitary: residual {r:.3e} exceeds {band:.3e}")
-    r = _identity_residual(ops, frame.dim)
-    if r > band:
-        raise NotProjective(f"identity element maps to a non-identity operator (residual {r:.3e})")
-    r = _inverse_residual(frame.group, ops)
-    if r > band:
-        raise NotProjective(
-            f"inverse convention violated: P(g)^-1 != P(g^-1), residual {r:.3e}"
-        )
-    values, r = _extract_cocycle(frame.group, ops)
-    if r > band:
-        raise NotProjective(f"products leave the frame up to scalars: residual {r:.3e}")
-    r = float(np.max(np.abs(np.abs(values) - 1.0)))
-    if r > band:
-        raise NotProjective(f"cocycle has non-unimodular values (residual {r:.3e})")
-    inv = frame.group._inv
-    r = float(np.max(np.abs(values[np.arange(frame.group.size), inv] - 1.0)))
-    if r > band:
-        raise NotProjective(f"alpha(g, g^-1) != 1 (residual {r:.3e})")
-    r = _cocycle_identity_residual(frame.group, values)
-    if r > band:
-        raise NotProjective(f"2-cocycle identity violated (residual {r:.3e})")
-
-    svals = _spanning_svals(ops)
-    d2 = frame.dim * frame.dim
-    if len(ops) < d2 or svals[d2 - 1] <= tol.band(float(svals[0])):
-        raise NotAFrame(
-            f"operators span only {int(np.sum(svals > tol.band(float(svals[0]))))} of "
-            f"{d2} matrix dimensions"
-        )
+    _check(frame, tol, _FRAME_CHECKS)
 
 
 # --------------------------------------------------------------------------
@@ -390,11 +419,6 @@ def leonhardt_frame(d: int, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
         tau[(j * l) % (2 * d)] * (_shift_matrix(d, j % d) @ _clock_matrix(d, l % d))
         for (j, l) in group.elements
     )
-    if _inverse_residual(group, ops) > tol.band(1.0):
-        # The direct phase choice already satisfies the convention for this
-        # commutation sign; rephasing is kept as a guard for future variants.
-        fixed = phase_fix(group, ops, tol)
-        ops = fixed.operators
     frame = ProjectiveFrame(
         group=group,
         operators=ops,
@@ -421,19 +445,9 @@ def phase_fix(
     projectively equivalent to the input (per-element unit scalars only).
     """
     ops = tuple(as_matrix(op) for op in operators)
-    if len(ops) != group.size:
-        raise GroupMismatch(f"{len(ops)} operators for a group of size {group.size}")
-    d = ops[0].shape[0]
-    band = tol.band(1.0)
-    if _unitarity_residual(ops) > band:
-        raise NotProjective("phase_fix input contains non-unitary operators")
-    if _identity_residual(ops, d) > band:
-        raise NotProjective("phase_fix input does not map the identity element to I")
-    values, residual = _extract_cocycle(group, ops)
-    if residual > band:
-        raise NotProjective(
-            f"phase_fix input is not projective: scalar residual {residual:.3e}"
-        )
+    raw = ProjectiveFrame(group=group, operators=ops, dim=len(ops[0]) if ops else 0)
+    found = _check(raw, tol, ("unitarity", "identity_at_origin", "projectivity"))
+    values = found.cocycle.values
 
     inv = group._inv
     mu = np.ones(group.size, dtype=np.complex128)
@@ -444,11 +458,10 @@ def phase_fix(
             mu[b] = alpha_pair.conj()
         elif a == b and a != 0:
             mu[a] = np.sqrt(alpha_pair.conj())
-    fixed = tuple(mu[a] * ops[a] for a in range(group.size))
     frame = ProjectiveFrame(
         group=group,
-        operators=fixed,
-        dim=d,
+        operators=tuple(mu[:, None, None] * raw.stack()),
+        dim=raw.dim,
         metadata=dict(metadata) if metadata is not None else {"kind": "phase_fixed", "parameters": {}},
     )
     validate_frame(frame, tol)
@@ -460,26 +473,8 @@ def phase_fix(
 
 
 def cocycle_table(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> CocycleTable:
-    """Extract alpha(g, g') = Tr(P_g P_g' P_{gg'}^dag) / d and verify its invariants."""
-    values, residual = _extract_cocycle(frame.group, frame.operators)
-    band = tol.band(1.0)
-    if residual > band:
-        raise NotProjective(f"operators are not projective: residual {residual:.3e}")
-    n = frame.group.size
-    checks = [
-        (float(np.max(np.abs(np.abs(values) - 1.0))), "cocycle modulus differs from 1"),
-        (float(np.max(np.abs(values[0, :] - 1.0))), "alpha(e, g) != 1"),
-        (float(np.max(np.abs(values[:, 0] - 1.0))), "alpha(g, e) != 1"),
-        (
-            float(np.max(np.abs(values[np.arange(n), frame.group._inv] - 1.0))),
-            "alpha(g, g^-1) != 1",
-        ),
-        (_cocycle_identity_residual(frame.group, values), "2-cocycle identity violated"),
-    ]
-    for value, message in checks:
-        if value > band:
-            raise NotProjective(f"{message} (residual {value:.3e})")
-    return CocycleTable(group=frame.group, values=values)
+    """alpha(g, g') = Tr(P_g P_g' P_{gg'}^dag) / d, verified and remembered per tolerance."""
+    return _check(frame, tol, _COCYCLE_CHECKS).cocycle
 
 
 def kernel(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:
@@ -539,25 +534,14 @@ def frame_report(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> dict:
     """
     from .representation import build_representation
 
-    band = tol.band(1.0)
+    found = _check(frame, tol, ())
     checks: list[tuple[str, bool, str]] = []
 
     def record(name: str, value: float, limit: float) -> None:
         checks.append((name, value <= limit, f"residual {value:.3e} (limit {limit:.3e})"))
 
-    record("unitarity", _unitarity_residual(frame.operators), band)
-    record("identity_at_origin", _identity_residual(frame.operators, frame.dim), band)
-    record("inverse_convention", _inverse_residual(frame.group, frame.operators), band)
-    values, residual = _extract_cocycle(frame.group, frame.operators)
-    record("projectivity", residual, band)
-    record("cocycle_modulus", float(np.max(np.abs(np.abs(values) - 1.0))), band)
-    n = frame.group.size
-    record(
-        "cocycle_inverse_pairs",
-        float(np.max(np.abs(values[np.arange(n), frame.group._inv] - 1.0))),
-        band,
-    )
-    record("cocycle_identity", _cocycle_identity_residual(frame.group, values), band)
+    for name in _REPORT_CHECKS:
+        record(name, *found.residuals[name])
 
     ker = kernel(frame, tol)
     faithful = ker == [frame.group.identity()]
@@ -569,7 +553,7 @@ def frame_report(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> dict:
         gram = np.einsum("aij,bij->ab", stack.conj(), stack)
         record(
             "gram_orthogonality",
-            max_abs(gram - frame.dim * np.eye(n)),
+            max_abs(gram - frame.dim * np.eye(frame.group.size)),
             1e-10,
         )
 

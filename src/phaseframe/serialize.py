@@ -79,6 +79,8 @@ def matrix_from_json(data) -> np.ndarray:
         raise FrameFileError(f"malformed matrix payload: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise FrameFileError(f"matrix payload has shape {arr.shape}, expected (rows, cols, 2)")
+    if not np.isfinite(arr).all():
+        raise FrameFileError("matrix payload contains non-finite values")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -154,14 +156,21 @@ def save_frame(frame: ProjectiveFrame, path) -> None:
     save_json(path, frame_to_json(frame))
 
 
-def load_frame(path, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
+def load_frame(path, tol: Tolerance = DEFAULT_TOL, *, with_sha256: bool = False):
+    """Read, parse and verify a frame file; with ``with_sha256``, return
+    ``(frame, digest)``, the SHA-256 hex digest of the bytes that were verified."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise FrameFileError(f"cannot read frame file: {exc}") from exc
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FrameFileError(f"frame file is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FrameFileError(f"frame file is not valid JSON: {exc}") from exc
-    return frame_from_json(data, tol)
+    frame = frame_from_json(data, tol)
+    return (frame, hashlib.sha256(raw).hexdigest()) if with_sha256 else frame
 
 
 def state_to_json(rho: np.ndarray) -> dict:
@@ -246,6 +255,8 @@ def load_distribution_csv(path, group: FiniteAbelianGroup) -> np.ndarray:
             values[pos] = float(row[1])
         except ValueError as exc:
             raise FrameFileError(f"malformed value in CSV row {pos + 2}: {row[1]!r}") from exc
+        if not np.isfinite(values[pos]):
+            raise FrameFileError(f"non-finite value in CSV row {pos + 2}: {row[1]!r}")
     return values
 
 

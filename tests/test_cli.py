@@ -291,3 +291,41 @@ def test_scan_requires_count_for_random(frame_files, tmp_path, capsys):
 
 def test_usage_error_exit_code():
     assert main(["frame", "build", "nosuchkind", "--out", "x.json"]) == 1
+
+
+def _nan_frame(tmp_path, frame_files):
+    data = json.loads(frame_files["weyl3"].read_text())
+    data["elements"][1]["matrix"][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan-frame.json"
+    path.write_text(json.dumps(data))
+    return ["--frame", str(path), "--state", "mixed"]
+
+
+def _nan_state(tmp_path, frame_files):
+    rho = np.full((3, 3), 1.0 / 3.0, dtype=complex)
+    rho[2, 2] = np.nan
+    path = tmp_path / "nan-state.json"
+    serialize.save_state(rho, path)
+    return ["--frame", str(frame_files["weyl3"]), "--state-file", str(path)]
+
+
+def _nan_distribution(tmp_path, frame_files):
+    path = tmp_path / "nan-mu.csv"
+    assert main([
+        "represent", "--frame", str(frame_files["weyl3"]),
+        "--state", "mixed", "--out", str(path),
+    ]) == 0
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    return ["--frame", str(frame_files["weyl3"]), "--distribution", str(path)]
+
+
+@pytest.mark.parametrize("make_args", [_nan_frame, _nan_state, _nan_distribution])
+def test_certify_rejects_non_finite_input(make_args, tmp_path, frame_files, capsys):
+    args = make_args(tmp_path, frame_files)
+    capsys.readouterr()
+    assert main(["certify", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+    assert "Traceback" not in err

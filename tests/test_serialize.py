@@ -119,3 +119,11 @@ def test_element_tuple_parsing():
     assert serialize.parse_element("()") == ()
     with pytest.raises(FrameFileError):
         serialize.parse_element("0,1")
+
+
+def test_load_frame_digest_names_the_parsed_bytes(tmp_path, weyl3):
+    path = tmp_path / "weyl3.json"
+    serialize.save_frame(weyl3, path)
+    frame, digest = serialize.load_frame(path, with_sha256=True)
+    assert digest == serialize.sha256_file(path)
+    assert all(np.array_equal(a, b) for a, b in zip(frame.operators, weyl3.operators))
