@@ -8,9 +8,12 @@ phi(g) = Tr(rho P_g) decide everything:
 * the cocycle-twisted translate matrix M[g, g'] = phi(g' g^-1) alpha(g^-1, g')
   is PSD exactly when rho itself is positive semidefinite.
 
-Certificates carry both verdicts together with the direct spectral oracles
-(min eigenvalue of rho, min quasi-probability value); a disagreement between
-the two routes is reported, never reconciled silently.
+Certificates decide both from the exact spectra of these matrices, computed
+from phi in closed form (:func:`mc_spectrum`, :func:`mq_spectrum`); the dense
+matrices (:func:`build_mc`, :func:`build_mq`) stay as the reference route.
+Certificates also carry the direct spectral oracles (min eigenvalue of rho,
+min quasi-probability value); a disagreement between the two routes is
+reported, never reconciled silently.
 """
 
 from __future__ import annotations
@@ -26,9 +29,15 @@ from .errors import (
     PhaseFrameError,
     ShapeMismatch,
 )
-from .frames import CocycleTable, cocycle_table
-from .groups import FiniteAbelianGroup, _as_group_values
-from .linalg import DEFAULT_TOL, Tolerance, herm_eigenvalues, is_psd, max_abs
+from .frames import CocycleTable, ProjectiveFrame, _verified_cocycle
+from .groups import FiniteAbelianGroup, _as_group_values, fourier_forward
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    herm_eigenvalues,
+    max_abs,
+    psd_from_spectrum,
+)
 from .representation import (
     QuasiProbRepresentation,
     characteristic,
@@ -40,6 +49,8 @@ __all__ = [
     "BochnerCertificate",
     "build_mc",
     "build_mq",
+    "mc_spectrum",
+    "mq_spectrum",
     "certify_state",
     "certify_distribution",
     "ScanRow",
@@ -68,16 +79,32 @@ class BochnerCertificate:
     input_mu_min: float | None = None
 
 
+def _symmetry_residual(group: FiniteAbelianGroup, arr: np.ndarray) -> float:
+    return float(np.max(np.abs(arr[group._inv] - arr.conj())))
+
+
 def _require_conjugate_symmetric(
     group: FiniteAbelianGroup, phi, tol: Tolerance
 ) -> np.ndarray:
     arr = _as_group_values(group, phi)
-    residual = float(np.max(np.abs(arr[group._inv] - arr.conj())))
+    residual = _symmetry_residual(group, arr)
     if residual > tol.band(max_abs(arr)):
         raise NotConjugateSymmetric(
             f"phi(g^-1) != conj(phi(g)): residual {residual:.3e}"
         )
     return arr
+
+
+def _hermitian_limit(arr: np.ndarray, tol: Tolerance) -> float:
+    """Largest deviation from Hermitian accepted in the twisted translate matrix."""
+    return 10.0 * tol.band(max_abs(arr))
+
+
+def _require_same_group(group: FiniteAbelianGroup, cocycle: CocycleTable) -> None:
+    if cocycle.group.orders != group.orders:
+        raise CocycleMismatch(
+            f"cocycle over group {cocycle.group.orders}, phi over {group.orders}"
+        )
 
 
 def build_mc(
@@ -101,20 +128,82 @@ def build_mq(
     indicates a cocycle inconsistent with phi and is raised, naming the pair.
     """
     arr = _require_conjugate_symmetric(group, phi, tol)
-    if cocycle.group.orders != group.orders:
-        raise CocycleMismatch(
-            f"cocycle over group {cocycle.group.orders}, phi over {group.orders}"
-        )
+    _require_same_group(group, cocycle)
     m = arr[group._diff] * cocycle.values[group._inv, :]
     deviation = np.abs(m - m.conj().T)
     worst = float(np.max(deviation))
-    if worst > 10.0 * tol.band(max_abs(arr)):
+    if worst > _hermitian_limit(arr, tol):
         a, b = np.unravel_index(int(np.argmax(deviation)), m.shape)
         raise CocycleMismatch(
             f"twisted translate matrix not Hermitian at pair "
             f"({group.elements[a]}, {group.elements[b]}): deviation {worst:.3e}"
         )
     return m
+
+
+def mc_spectrum(group: FiniteAbelianGroup, phi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Spectrum of :func:`build_mc`, ascending, in O(|G| log |G|).
+
+    The translate matrix is a group circulant: the characters are its
+    eigenvectors, and its eigenvalues are |G| times the Fourier transform of
+    phi, which are real because phi is conjugate symmetric.
+    """
+    arr = _require_conjugate_symmetric(group, phi, tol)
+    return np.sort((group.size * fourier_forward(group, arr)).real)
+
+
+def mq_spectrum(frame: ProjectiveFrame, phi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Spectrum of :func:`build_mq` with the frame's cocycle, ascending, from a
+    d x d eigenproblem.
+
+    Let V send the basis vector e_g to P_g, from C^|G| to the d x d matrices
+    with the Hilbert-Schmidt inner product, and let R_rho be right
+    multiplication by rho. Then M_q[g, g'] = Tr(rho P_g^dag P_g') gives
+    M_q = V^dag R_rho V. For a verified frame (projective, spanning, with
+    P_g^-1 = P_(g^-1)), V V^dag = (|G|/d) I: an operator off the kernel K is
+    traceless, and each operator occurs |K| = |G|/d^2 times up to a phase.
+    So M_q is (|G|/d) R_rho on a copy of the matrix space plus 0 elsewhere:
+    each eigenvalue of rho times |G|/d, d times over, and |G| - d^2 zeros.
+    rho itself is read from phi, as rho = (d/|G|) sum_g phi(g) P_g^dag.
+    """
+    group, d = frame.group, frame.dim
+    arr = _require_conjugate_symmetric(group, phi, tol)
+    _verified_cocycle(frame, tol)
+    n = group.size
+    # sum_g phi(g) P_g^dag is the adjoint of sum_g conj(phi(g)) P_g.
+    rho = (arr.conj() @ frame.stack().reshape(n, d * d)).reshape(d, d).conj().T
+    rho = (d / n) * 0.5 * (rho + rho.conj().T)
+    scaled = (n / d) * herm_eigenvalues(rho, tol)
+    return np.sort(np.concatenate([np.repeat(scaled, d), np.zeros(n - d * d)]))
+
+
+def _require_matching_cocycle(
+    cocycle: CocycleTable, verified: CocycleTable, tol: Tolerance
+) -> None:
+    """A supplied table must be the frame's own cocycle, within the band."""
+    _require_same_group(verified.group, cocycle)
+    residual = max_abs(cocycle.values - verified.values)
+    if not residual <= tol.band(1.0):
+        raise CocycleMismatch(
+            f"cocycle table differs from the frame's verified cocycle by {residual:.3e}"
+        )
+
+
+def _require_hermitian_twist(
+    group: FiniteAbelianGroup, phi: np.ndarray, cocycle: CocycleTable, tol: Tolerance
+) -> None:
+    """Raise exactly what :func:`build_mq` raises for this phi and cocycle.
+
+    The deviation of M_q from Hermitian at (g, gh) is at most
+    |phi(h)| * twist_defect(h) + |phi(h) - conj(phi(h^-1))| * max|alpha|, an
+    O(|G|) bound per state. Only when it passes half of build_mq's limit,
+    which leaves room for rounding in the dense product, is M_q built.
+    """
+    bound = max_abs(np.abs(phi) * cocycle.twist_defect) + _symmetry_residual(
+        group, phi
+    ) * max_abs(cocycle.values)
+    if bound > 0.5 * _hermitian_limit(phi, tol):
+        build_mq(group, phi, cocycle, tol)
 
 
 def certify_state(
@@ -125,34 +214,36 @@ def certify_state(
 ) -> BochnerCertificate:
     """Certify a Hermitian trace-1 operator through its characteristic function.
 
-    Both verdicts are decided from the translate matrices alone; the direct
-    spectral oracles (eigenvalues of rho, quasi-probability values) are then
-    computed independently and compared. ``boundary`` flags the rare case
-    where the two routes land on opposite sides of a tolerance threshold. A
-    precomputed cocycle table may be supplied to amortize batch runs.
+    Both verdicts are decided from the spectra of the translate matrices,
+    computed from phi in closed form by :func:`mc_spectrum` and
+    :func:`mq_spectrum`; the direct spectral oracles (eigenvalues of rho,
+    quasi-probability values) are then computed independently and compared.
+    ``boundary`` flags the rare case where the two routes land on opposite
+    sides of a tolerance threshold. The frame's invariant pass is run once
+    and remembered; a supplied cocycle table must match the verified one
+    within the band, or CocycleMismatch is raised.
     """
     group = rep.group
     phi = characteristic(rep, rho, tol)  # validates Hermiticity and shape
     trace = phi[0]
     if abs(trace - 1.0) > tol.band(1.0):
         raise NotNormalized(f"trace = {trace:.12g}, expected 1")
+    verified = _verified_cocycle(rep.frame, tol)
+    mc_eigs = mc_spectrum(group, phi, tol)
     if cocycle is None:
-        cocycle = cocycle_table(rep.frame, tol)
-
-    mc = build_mc(group, phi, tol)
-    mq = build_mq(group, phi, cocycle, tol)
-    mc_psd, mc_min = is_psd(mc, tol)
-    mq_psd, mq_min = is_psd(mq, tol)
+        cocycle = verified
+    elif cocycle is not verified:
+        _require_matching_cocycle(cocycle, verified, tol)
+    _require_hermitian_twist(group, phi, cocycle, tol)
+    mc_psd, mc_min = psd_from_spectrum(mc_eigs, tol)
+    mq_psd, mq_min = psd_from_spectrum(mq_spectrum(rep.frame, phi, tol), tol)
     is_quantum = mq_psd
     is_positive = mq_psd and mc_psd
 
-    rho_eigs = herm_eigenvalues(rho, tol)
-    state_min = float(rho_eigs[0])
-    state_scale = float(np.max(np.abs(rho_eigs)))
+    oracle_quantum, state_min = psd_from_spectrum(herm_eigenvalues(rho, tol), tol)
     mu = represent(rep, rho, tol)
     min_mu = float(np.min(mu))
 
-    oracle_quantum = state_min >= -tol.band(state_scale)
     oracle_positive = oracle_quantum and min_mu >= -tol.band(max(1.0, max_abs(mu)))
     agree_state = oracle_quantum == is_quantum
     agree_positive = oracle_positive == is_positive
@@ -243,13 +334,13 @@ def scan(
     labels = list(labels)
     if len(labels) != len(states):
         raise ShapeMismatch(f"{len(labels)} labels for {len(states)} states")
-    cocycle = cocycle_table(rep.frame, tol)
+    _verified_cocycle(rep.frame, tol)  # a frame that fails does so once, not per row
 
     rows: list[ScanRow] = []
     n_valid = n_positive = n_boundary = n_failed = 0
     for i, (label, rho) in enumerate(zip(labels, states)):
         try:
-            cert = certify_state(rep, rho, tol, cocycle=cocycle)
+            cert = certify_state(rep, rho, tol)
         except PhaseFrameError as exc:
             rows.append(ScanRow(index=i, label=label, certificate=None, error=str(exc)))
             n_failed += 1

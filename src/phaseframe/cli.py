@@ -44,7 +44,6 @@ from .serialize import (
     phi_csv_bytes,
     save_frame,
     save_json,
-    sha256_file,
 )
 
 EXIT_OK = 0
@@ -112,8 +111,8 @@ def _state_from_args(args, d: int) -> tuple[np.ndarray, dict]:
     if getattr(args, "state", None):
         return parse_state_spec(args.state, d), {"kind": "spec", "value": args.state}
     path = args.state_file
-    rho = load_state(path)
-    return rho, {"kind": "file", "value": str(path), "sha256": sha256_file(path)}
+    rho, digest = load_state(path, with_sha256=True)
+    return rho, {"kind": "file", "value": str(path), "sha256": digest}
 
 
 # --------------------------------------------------------------------------
@@ -241,13 +240,9 @@ def cmd_certify(args) -> int:
     try:
         rep = build_representation(frame, DEFAULT_TOL)
         if args.distribution:
-            mu = load_distribution_csv(args.distribution, frame.group)
+            mu, digest = load_distribution_csv(args.distribution, frame.group, with_sha256=True)
             cert = certify_distribution(rep, mu, DEFAULT_TOL)
-            state_ref = {
-                "kind": "distribution",
-                "value": str(args.distribution),
-                "sha256": sha256_file(args.distribution),
-            }
+            state_ref = {"kind": "distribution", "value": str(args.distribution), "sha256": digest}
         else:
             rho, state_ref = _state_from_args(args, frame.dim)
             cert = certify_state(rep, rho, DEFAULT_TOL)

@@ -5,6 +5,10 @@ class PhaseFrameError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class NonFinite(PhaseFrameError):
+    """Array holds NaN or infinite entries."""
+
+
 class NonSquare(PhaseFrameError):
     """Operation requires a square matrix."""
 

@@ -17,6 +17,7 @@ frames: the doubled phase space for even dimension and the Z2^3 example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, NamedTuple
 
 import numpy as np
@@ -124,6 +125,19 @@ class CocycleTable:
     def value(self, g, h) -> complex:
         return complex(self.values[self.group.index(g), self.group.index(h)])
 
+    @cached_property
+    def twist_defect(self) -> np.ndarray:
+        """Per difference h: max over g of |alpha(g^-1, gh) - conj(alpha((gh)^-1, g))|.
+
+        The twisted translate matrix of a conjugate-symmetric phi deviates
+        from Hermitian at the pair (g, gh) by |phi(h)| times this defect; it
+        is zero for the cocycle of a verified frame, up to rounding.
+        """
+        twist = self.values[self.group._inv, :]  # [g, g'] = alpha(g^-1, g')
+        deviation = np.abs(twist - twist.conj().T)
+        rows = np.arange(self.group.size)[:, None]
+        return deviation[rows, self.group._mul].max(axis=0)
+
 
 # --------------------------------------------------------------------------
 # elementary building blocks
@@ -228,11 +242,8 @@ def _invariant_pass(frame: ProjectiveFrame, tol: Tolerance) -> _Invariants:
     eye = np.eye(d)
     adjoints = stack.conj().transpose(0, 2, 1)
     values, projectivity = _extract_cocycle(group, stack)
-    flat = stack.reshape(n, d * d)
-    rank = 0
-    if np.isfinite(flat).all():
-        svals = np.linalg.svd(flat, compute_uv=False)
-        rank = int(np.sum(svals > tol.band(float(svals[0]))))
+    svals = np.linalg.svd(stack.reshape(n, d * d), compute_uv=False)
+    rank = int(np.sum(svals > tol.band(float(svals[0]))))
     residuals = {
         "unitarity": max_abs(adjoints @ stack - eye),
         "identity_at_origin": max_abs(stack[0] - eye),
@@ -267,6 +278,12 @@ def _check(frame: ProjectiveFrame, tol: Tolerance, names) -> _Invariants:
 def validate_frame(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> None:
     """Run the full invariant suite; raises on the first violated invariant."""
     _check(frame, tol, _FRAME_CHECKS)
+
+
+def _verified_cocycle(frame: ProjectiveFrame, tol: Tolerance) -> CocycleTable:
+    """The cocycle of a frame that passes both :func:`validate_frame` and
+    :func:`cocycle_table`; certificates read the frame itself, so they need both."""
+    return _check(frame, tol, _FRAME_CHECKS + _COCYCLE_CHECKS).cocycle
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonSquare, NotHermitian, ShapeMismatch
+from .errors import DimensionMismatch, NonFinite, NonSquare, NotHermitian, ShapeMismatch
 
 __all__ = [
     "Tolerance",
@@ -23,6 +23,7 @@ __all__ = [
     "require_hermitian",
     "herm_eigenvalues",
     "is_psd",
+    "psd_from_spectrum",
     "trace_inner",
     "tensor",
     "hermitian_basis",
@@ -60,10 +61,12 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex128 array."""
+    """Coerce to a finite, nonempty 2-d complex128 array."""
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeMismatch(f"expected a nonempty 2-d matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFinite(f"matrix of shape {arr.shape} has NaN or infinite entries")
     return arr
 
 
@@ -97,16 +100,21 @@ def herm_eigenvalues(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.eigvalsh(arr)
 
 
-def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """Positive-semidefiniteness verdict plus the minimum eigenvalue.
+def psd_from_spectrum(eigs, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
+    """Positive-semidefiniteness verdict on a real spectrum, plus its minimum.
 
     The verdict allows a small negative slack, ``-(atol + rtol * max|eig|)``,
     so that rounding on true boundary cases does not produce false negatives.
     """
-    eigs = herm_eigenvalues(m, tol)
-    min_eig = float(eigs[0])
-    scale = float(np.max(np.abs(eigs)))
-    return min_eig >= -tol.band(scale), min_eig
+    values = np.asarray(eigs, dtype=float)
+    min_eig = float(np.min(values))
+    return min_eig >= -tol.band(max_abs(values)), min_eig
+
+
+def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
+    """Positive-semidefiniteness verdict plus the minimum eigenvalue of a
+    Hermitian matrix, by :func:`psd_from_spectrum` on its dense spectrum."""
+    return psd_from_spectrum(herm_eigenvalues(m, tol), tol)
 
 
 def trace_inner(a, b) -> complex:

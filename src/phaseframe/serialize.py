@@ -156,21 +156,35 @@ def save_frame(frame: ProjectiveFrame, path) -> None:
     save_json(path, frame_to_json(frame))
 
 
-def load_frame(path, tol: Tolerance = DEFAULT_TOL, *, with_sha256: bool = False):
-    """Read, parse and verify a frame file; with ``with_sha256``, return
-    ``(frame, digest)``, the SHA-256 hex digest of the bytes that were verified."""
+def _read_text(path, what: str) -> tuple[str, bytes]:
+    """Read a UTF-8 file once; return its text and the bytes it was decoded from."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise FrameFileError(f"cannot read frame file: {exc}") from exc
+        raise FrameFileError(f"cannot read {what} file: {exc}") from exc
     try:
-        data = json.loads(raw.decode("utf-8"))
+        return raw.decode("utf-8"), raw
     except UnicodeDecodeError as exc:
-        raise FrameFileError(f"frame file is not valid UTF-8: {exc}") from exc
+        raise FrameFileError(f"{what} file is not valid UTF-8: {exc}") from exc
+
+
+def _read_json(path, what: str) -> tuple[object, bytes]:
+    text, raw = _read_text(path, what)
+    try:
+        return json.loads(text), raw
     except json.JSONDecodeError as exc:
-        raise FrameFileError(f"frame file is not valid JSON: {exc}") from exc
-    frame = frame_from_json(data, tol)
-    return (frame, hashlib.sha256(raw).hexdigest()) if with_sha256 else frame
+        raise FrameFileError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def _with_digest(value, raw: bytes, with_sha256: bool):
+    return (value, hashlib.sha256(raw).hexdigest()) if with_sha256 else value
+
+
+def load_frame(path, tol: Tolerance = DEFAULT_TOL, *, with_sha256: bool = False):
+    """Read, parse and verify a frame file; with ``with_sha256``, return
+    ``(frame, digest)``, the SHA-256 hex digest of the bytes that were verified."""
+    data, raw = _read_json(path, "frame")
+    return _with_digest(frame_from_json(data, tol), raw, with_sha256)
 
 
 def state_to_json(rho: np.ndarray) -> dict:
@@ -200,14 +214,11 @@ def save_state(rho: np.ndarray, path) -> None:
     save_json(path, state_to_json(rho))
 
 
-def load_state(path) -> np.ndarray:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FrameFileError(f"cannot read state file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FrameFileError(f"state file is not valid JSON: {exc}") from exc
-    return state_from_json(data)
+def load_state(path, *, with_sha256: bool = False):
+    """Read and parse a state file; with ``with_sha256``, return
+    ``(rho, digest)``, the SHA-256 hex digest of the bytes that were parsed."""
+    data, raw = _read_json(path, "state")
+    return _with_digest(state_from_json(data), raw, with_sha256)
 
 
 def distribution_csv_bytes(group: FiniteAbelianGroup, mu) -> bytes:
@@ -229,12 +240,11 @@ def save_distribution_csv(path, group: FiniteAbelianGroup, mu) -> None:
     Path(path).write_bytes(distribution_csv_bytes(group, mu))
 
 
-def load_distribution_csv(path, group: FiniteAbelianGroup) -> np.ndarray:
-    """Read a distribution CSV back, enforcing the exact dual index order."""
-    try:
-        rows = list(csv.reader(Path(path).read_text(encoding="utf-8").splitlines()))
-    except OSError as exc:
-        raise FrameFileError(f"cannot read distribution file: {exc}") from exc
+def load_distribution_csv(path, group: FiniteAbelianGroup, *, with_sha256: bool = False):
+    """Read a distribution CSV back, enforcing the exact dual index order; with
+    ``with_sha256``, return ``(values, digest)`` of the bytes that were parsed."""
+    text, raw = _read_text(path, "distribution")
+    rows = list(csv.reader(text.splitlines()))
     if not rows or rows[0] != ["index_tuple", "mu"]:
         raise FrameFileError("distribution CSV must start with header 'index_tuple,mu'")
     body = rows[1:]
@@ -257,7 +267,7 @@ def load_distribution_csv(path, group: FiniteAbelianGroup) -> np.ndarray:
             raise FrameFileError(f"malformed value in CSV row {pos + 2}: {row[1]!r}") from exc
         if not np.isfinite(values[pos]):
             raise FrameFileError(f"non-finite value in CSV row {pos + 2}: {row[1]!r}")
-    return values
+    return _with_digest(values, raw, with_sha256)
 
 
 def phi_csv_bytes(group: FiniteAbelianGroup, phi) -> bytes:

@@ -4,6 +4,7 @@ import pytest
 import phaseframe as pf
 from phaseframe.errors import (
     CocycleMismatch,
+    NonFinite,
     NotConjugateSymmetric,
     NotHermitian,
     NotNormalized,
@@ -314,3 +315,28 @@ def test_scan_is_order_preserving_and_deterministic(weyl3_rep):
     for a, b in zip(r1.rows, r2.rows):
         assert a.index == b.index
         assert a.certificate.min_mu == b.certificate.min_mu
+
+
+# --------------------------------------------------------------------------
+# non-finite input
+
+
+def _nan_state(d):
+    rho = pf.maximally_mixed(d)
+    rho[0, 0] = np.nan
+    return rho
+
+
+def test_certify_rejects_a_nan_state(weyl3_rep):
+    with pytest.raises(NonFinite):
+        pf.certify_state(weyl3_rep, _nan_state(3))
+
+
+def test_scan_fails_only_the_nan_row(weyl3_rep):
+    states = [pf.maximally_mixed(3), _nan_state(3), pf.basis_state(3, 1)]
+    result = pf.scan(weyl3_rep, states)
+    assert result.n_failed == 1
+    assert result.rows[1].certificate is None and "NaN" in result.rows[1].error
+    assert result.rows[0].certificate.is_positively_representable
+    assert result.rows[2].certificate.is_positively_representable
+    assert result.n_valid == result.n_positive == 2

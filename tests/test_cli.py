@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,3 +330,28 @@ def test_certify_rejects_non_finite_input(make_args, tmp_path, frame_files, caps
     err = capsys.readouterr().err
     assert err.startswith("error:") and "non-finite" in err
     assert "Traceback" not in err
+
+
+def test_certify_reads_each_input_file_once(tmp_path, frame_files, monkeypatch):
+    state = tmp_path / "state.json"
+    serialize.save_state(pf.random_density(3, 7), state)
+    dist = tmp_path / "mu.csv"
+    assert main(["represent", "--frame", str(frame_files["weyl3"]),
+                 "--state", "basis:0", "--out", str(dist)]) == 0
+    reads = []
+    for method in ("read_bytes", "read_text"):
+        original = getattr(Path, method)
+
+        def counting(self, *args, _original=original, **kwargs):
+            reads.append(Path(self).name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, counting)
+    for flag, path in (("--state-file", state), ("--distribution", dist)):
+        reads.clear()
+        out = tmp_path / f"cert-{path.stem}.json"
+        assert main(["certify", "--frame", str(frame_files["weyl3"]),
+                     flag, str(path), "--out", str(out)]) in (0, 4)
+        assert sorted(reads) == sorted(["weyl3.json", path.name])
+        payload = json.loads(out.read_text())
+        assert payload["state"]["sha256"] == serialize.sha256_file(path)

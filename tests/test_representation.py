@@ -4,6 +4,7 @@ import pytest
 import phaseframe as pf
 from phaseframe.errors import (
     EvenDimension,
+    NonFinite,
     NotHermitian,
     NotNormalized,
     ShapeMismatch,
@@ -238,3 +239,11 @@ def test_wigner_agrees_with_represent(d, weyl3_rep, weyl5_rep):
         v = pf.random_pure_vector(d, 300 + seed)
         mu = pf.represent(rep, np.outer(v, v.conj()))
         np.testing.assert_allclose(mu, pf.gross_as_dual_distribution(v), atol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_representation_of_a_non_finite_frame_fails(weyl3, bad):
+    ops = [np.array(op) for op in weyl3.operators]
+    ops[4][1, 1] = bad
+    with pytest.raises(NonFinite):
+        pf.build_representation(pf.ProjectiveFrame(group=weyl3.group, operators=tuple(ops), dim=3))

@@ -127,3 +127,25 @@ def test_load_frame_digest_names_the_parsed_bytes(tmp_path, weyl3):
     frame, digest = serialize.load_frame(path, with_sha256=True)
     assert digest == serialize.sha256_file(path)
     assert all(np.array_equal(a, b) for a, b in zip(frame.operators, weyl3.operators))
+
+
+def test_state_and_distribution_digests_name_the_parsed_bytes(tmp_path, weyl3):
+    state = tmp_path / "rho.json"
+    serialize.save_state(pf.random_density(3, 2), state)
+    rho, digest = serialize.load_state(state, with_sha256=True)
+    assert digest == serialize.sha256_file(state)
+    assert np.array_equal(rho, serialize.load_state(state))
+    dist = tmp_path / "mu.csv"
+    serialize.save_distribution_csv(dist, weyl3.group, np.full(9, 1 / 9))
+    mu, digest = serialize.load_distribution_csv(dist, weyl3.group, with_sha256=True)
+    assert digest == serialize.sha256_file(dist)
+    assert np.array_equal(mu, serialize.load_distribution_csv(dist, weyl3.group))
+
+
+def test_undecodable_state_and_distribution_files_are_malformed(tmp_path, weyl3):
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(FrameFileError, match="not valid UTF-8"):
+        serialize.load_state(path)
+    with pytest.raises(FrameFileError, match="not valid UTF-8"):
+        serialize.load_distribution_csv(path, weyl3.group)
