@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .frames import CocycleTable, ProjectiveFrame, _verified_cocycle
-from .groups import FiniteAbelianGroup, _as_group_values, fourier_forward
+from .groups import FiniteAbelianGroup, _as_group_values, fourier_forward, translate_matrix
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -111,8 +111,7 @@ def build_mc(
     group: FiniteAbelianGroup, phi, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
     """Translate matrix M[g, g'] = phi(g' g^-1) in lexicographic element order."""
-    arr = _require_conjugate_symmetric(group, phi, tol)
-    return arr[group._diff]
+    return translate_matrix(group, _require_conjugate_symmetric(group, phi, tol))
 
 
 def build_mq(

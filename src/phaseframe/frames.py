@@ -29,17 +29,11 @@ from .errors import (
     InternalInconsistency,
     InvalidDimension,
     NotAFrame,
+    NotHermitian,
     NotProjective,
 )
-from .groups import FiniteAbelianGroup, make_group
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    as_matrix,
-    herm_coords,
-    max_abs,
-    require_hermitian,
-)
+from .groups import FiniteAbelianGroup, character_table, make_group
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, max_abs, require_hermitian
 
 __all__ = [
     "ProjectiveFrame",
@@ -489,6 +483,26 @@ def phase_fix(
 # derived data
 
 
+def _fourier_operators(frame: ProjectiveFrame) -> np.ndarray:
+    """Fourier operators F_j = (1/|G|) sum_g chi_j(g) P_g as one (|G|, d, d) array.
+
+    The frame conventions force each F_j to be Hermitian; a material deviation
+    means the input violates the inverse convention and raises NotHermitian.
+    The returned operators are symmetrized, so they are Hermitian exactly.
+    """
+    group = frame.group
+    fourier = np.tensordot(character_table(group), frame.stack(), axes=([1], [0])) / group.size
+    deviation = np.abs(fourier - fourier.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(deviation > 1e-8 * max_abs(fourier))
+    if bad.size:
+        j = int(bad[0])
+        raise NotHermitian(
+            f"Fourier operator {group.elements[j]} is not Hermitian "
+            f"(deviation {deviation[j]:.3e}); the frame violates the inverse convention"
+        )
+    return 0.5 * (fourier + np.transpose(fourier, (0, 2, 1)).conj())
+
+
 def cocycle_table(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> CocycleTable:
     """alpha(g, g') = Tr(P_g P_g' P_{gg'}^dag) / d, verified and remembered per tolerance."""
     return _check(frame, tol, _COCYCLE_CHECKS).cocycle
@@ -524,7 +538,9 @@ def frame_bounds(ops, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Extreme eigenvalues (a, b) of the frame operator of Hermitian operators.
 
     The frame operator is S = sum_k |F_k><F_k| on the d^2-dimensional real
-    space of Hermitian matrices; the set is a frame exactly when a > 0.
+    space of Hermitian matrices; the set is a frame exactly when a > 0. Its
+    eigenvalues are those of A^H A, where row k of A is F_k flattened: for
+    Hermitian F_k that matrix is S extended to all complex d x d matrices.
     """
     matrices = [require_hermitian(op, tol) for op in ops]
     if not matrices:
@@ -535,9 +551,8 @@ def frame_bounds(ops, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
             raise DimensionMismatch(
                 f"mixed operator shapes {op.shape} and {(d, d)} in frame_bounds"
             )
-    coords = np.stack([herm_coords(op) for op in matrices])
-    gram = coords.T @ coords
-    eigs = np.linalg.eigvalsh(gram)
+    rows = np.stack(matrices).reshape(len(matrices), d * d)
+    eigs = np.linalg.eigvalsh(rows.conj().T @ rows)
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -549,8 +564,6 @@ def frame_report(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> dict:
     ``passed`` flag. Tracelessness and Gram orthogonality are required only of
     faithful frames.
     """
-    from .representation import build_representation
-
     found = _check(frame, tol, ())
     checks: list[tuple[str, bool, str]] = []
 
@@ -574,8 +587,7 @@ def frame_report(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> dict:
             1e-10,
         )
 
-    rep = build_representation(frame, tol)
-    a, b = frame_bounds(rep.fourier_ops, tol)
+    a, b = frame_bounds(_fourier_operators(frame), tol)
     spanning_ok = a > tol.band(b)
     checks.append(
         ("fourier_frame_bounds", spanning_ok, f"a = {a:.6g}, b = {b:.6g}")

@@ -42,10 +42,7 @@ class FiniteAbelianGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        orders = tuple(int(n) for n in self.orders)
-        for n in orders:
-            if n < 2:
-                raise InvalidOrder(f"cyclic factor order must be >= 2, got {n}")
+        orders = _checked_orders(self.orders)
         object.__setattr__(self, "orders", orders)
         elements = tuple(itertools.product(*(range(n) for n in orders)))
         object.__setattr__(self, "_elements", elements)
@@ -105,30 +102,33 @@ class FiniteAbelianGroup:
         return tuple((-x) % n for x, n in zip(a, self.orders))
 
 
+def _checked_orders(orders) -> tuple[int, ...]:
+    """Cyclic factor orders as ints, each >= 2, checked before any |G|-sized work."""
+    orders = tuple(int(n) for n in orders)
+    for n in orders:
+        if n < 2:
+            raise InvalidOrder(f"cyclic factor order must be >= 2, got {n}")
+    return orders
+
+
 def make_group(orders) -> FiniteAbelianGroup:
     """Group with the given cyclic factor orders (each >= 2), as given."""
     return FiniteAbelianGroup(tuple(int(n) for n in orders))
 
 
-def _root_exponents(group: FiniteAbelianGroup) -> tuple[np.ndarray, int]:
-    """Integer exponent matrix K and common order L with chi_j(g) = exp(-2 pi i K[j,g] / L)."""
-    if not group.orders:
-        return np.zeros((1, 1), dtype=np.int64), 1
+def _root_exponents(group: FiniteAbelianGroup, j, g) -> tuple[np.ndarray, int]:
+    """Exponents K = sum_i (L / n_i) j_i g_i mod L and common order L = lcm(orders),
+    so that chi_j(g) = exp(-2 pi i K / L); j and g are residue arrays (..., k)."""
     L = math.lcm(*group.orders)
-    res = group._residues
     w = np.array([L // n for n in group.orders], dtype=np.int64)
-    K = ((res * w) @ res.T) % L
-    return K, L
+    j = np.asarray(j, dtype=np.int64)
+    g = np.asarray(g, dtype=np.int64)
+    return ((j * w) @ g.T) % L, L
 
 
 def character_value(group: FiniteAbelianGroup, j, g) -> complex:
     """Irreducible character chi_j(g) = prod_i exp(-2 pi i j_i g_i / n_i)."""
-    jt = group.element(j)
-    gt = group.element(g)
-    if not group.orders:
-        return 1.0 + 0.0j
-    L = math.lcm(*group.orders)
-    k = sum(ji * gi * (L // n) for ji, gi, n in zip(jt, gt, group.orders)) % L
+    k, L = _root_exponents(group, group.element(j), group.element(g))
     if k == 0:
         return 1.0 + 0.0j
     return complex(np.exp(-2j * np.pi * k / L))
@@ -136,7 +136,7 @@ def character_value(group: FiniteAbelianGroup, j, g) -> complex:
 
 def character_table(group: FiniteAbelianGroup) -> np.ndarray:
     """|G| x |G| table with entry [j, g] = chi_j(g); table / sqrt(|G|) is unitary."""
-    K, L = _root_exponents(group)
+    K, L = _root_exponents(group, group._residues, group._residues)
     roots = np.exp(-2j * np.pi * np.arange(L) / L)
     return roots[K]
 

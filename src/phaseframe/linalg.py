@@ -1,9 +1,12 @@
 """Dense complex linear algebra helpers.
 
-Everything downstream manipulates small (at most 64 x 64) complex matrices, so
-these are thin, tolerance-aware wrappers around numpy. Matrices are plain
-``numpy.ndarray`` values with dtype complex128, i.e. row-major (re, im) double
-pairs.
+Everything downstream manipulates small complex matrices (d x d operators,
+|G| x |G| translate matrices), so these are thin, tolerance-aware wrappers
+around numpy. Matrices are plain ``numpy.ndarray`` values with dtype
+complex128, i.e. row-major (re, im) double pairs. Hermitian operators stay
+complex matrices throughout; where a frame operator over them is needed, it is
+formed from the flattened matrices (``frames.frame_bounds``), with no real
+coordinate basis in between.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ __all__ = [
     "psd_from_spectrum",
     "trace_inner",
     "tensor",
-    "hermitian_basis",
-    "herm_coords",
-    "herm_from_coords",
 ]
 
 
@@ -131,62 +131,3 @@ def trace_inner(a, b) -> complex:
 def tensor(a, b) -> np.ndarray:
     """Kronecker product; the index of the first factor varies slower."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal basis of the real space of d x d Hermitian matrices.
-
-    Ordering: the d diagonal matrix units, then (E_kl + E_lk)/sqrt(2) for all
-    k < l in lexicographic order, then i(E_kl - E_lk)/sqrt(2) likewise. This
-    ordering matches :func:`herm_coords` / :func:`herm_from_coords`.
-    """
-    basis: list[np.ndarray] = []
-    for k in range(d):
-        e = np.zeros((d, d), dtype=np.complex128)
-        e[k, k] = 1.0
-        basis.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for k in range(d):
-        for l in range(k + 1, d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[k, l] = inv_sqrt2
-            e[l, k] = inv_sqrt2
-            basis.append(e)
-    for k in range(d):
-        for l in range(k + 1, d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[k, l] = 1j * inv_sqrt2
-            e[l, k] = -1j * inv_sqrt2
-            basis.append(e)
-    return basis
-
-
-def herm_coords(m: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in :func:`hermitian_basis` order."""
-    arr = as_matrix(m)
-    d = arr.shape[0]
-    iu = np.triu_indices(d, k=1)
-    sqrt2 = np.sqrt(2.0)
-    return np.concatenate(
-        [
-            np.real(np.diagonal(arr)),
-            sqrt2 * np.real(arr[iu]),
-            sqrt2 * np.imag(arr[iu]),
-        ]
-    )
-
-
-def herm_from_coords(coords: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`herm_coords`."""
-    vec = np.asarray(coords, dtype=float)
-    if vec.shape != (d * d,):
-        raise ShapeMismatch(f"expected {d * d} coordinates, got shape {vec.shape}")
-    out = np.zeros((d, d), dtype=np.complex128)
-    out[np.diag_indices(d)] = vec[:d]
-    iu = np.triu_indices(d, k=1)
-    n_off = iu[0].size
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    upper = inv_sqrt2 * (vec[d : d + n_off] + 1j * vec[d + n_off :])
-    out[iu] = upper
-    out[(iu[1], iu[0])] = upper.conj()
-    return out

@@ -3,9 +3,11 @@
 The group-Fourier transform of a projective frame is a family of Hermitian
 operators F_j indexed by the dual group. Pairing a state with the F_j gives a
 real, normalized (but possibly negative) distribution; the canonical dual
-frame inverts the map. The module also carries the direct convolution formula
-for the odd-dimensional Wigner function of a pure state, used as an
-independent oracle for the frame-based route.
+frame inverts the map. For every verified frame the Fourier frame operator is
+I/d, so the dual frame is D_j = d F_j, the phase-point operators of Gross
+(J. Math. Phys. 47, 122107, 2006). The module also carries the direct
+convolution formula for the odd-dimensional Wigner function of a pure state,
+used as an independent oracle for the frame-based route.
 """
 
 from __future__ import annotations
@@ -19,21 +21,11 @@ from .errors import (
     EvenDimension,
     InternalInconsistency,
     InvalidDimension,
-    NotAFrame,
-    NotHermitian,
     NotNormalized,
     ShapeMismatch,
 )
-from .frames import ProjectiveFrame
-from .groups import character_table
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    herm_coords,
-    herm_from_coords,
-    max_abs,
-    require_hermitian,
-)
+from .frames import ProjectiveFrame, _fourier_operators, validate_frame
+from .linalg import DEFAULT_TOL, Tolerance, max_abs, require_hermitian
 
 __all__ = [
     "QuasiProbRepresentation",
@@ -52,17 +44,19 @@ class QuasiProbRepresentation:
 
     ``fourier_ops[i]`` and ``dual_ops[i]`` are indexed by the dual element
     ``frame.group.elements[i]`` (the dual of a finite abelian group is
-    identified with the group itself, in the same lexicographic order).
+    identified with the group itself, in the same lexicographic order). Each
+    is copied into one read-only (|G|, d, d) array the representation owns.
     """
 
     frame: ProjectiveFrame
-    fourier_ops: tuple[np.ndarray, ...]
-    dual_ops: tuple[np.ndarray, ...]
+    fourier_ops: np.ndarray
+    dual_ops: np.ndarray
 
     def __post_init__(self) -> None:
-        for ops in (self.fourier_ops, self.dual_ops):
-            for op in ops:
-                op.setflags(write=False)
+        for name in ("fourier_ops", "dual_ops"):
+            ops = np.array(getattr(self, name), dtype=np.complex128)
+            ops.setflags(write=False)
+            object.__setattr__(self, name, ops)
 
     @property
     def dim(self) -> int:
@@ -78,38 +72,17 @@ def build_representation(
 ) -> QuasiProbRepresentation:
     """Fourier-transform a projective frame into a quasi-probability representation.
 
-    F_j = (1/|G|) sum_g chi_j(g) P_g. The frame conventions force each F_j to
-    be Hermitian; a material deviation means the input violates the inverse
-    convention and construction fails loudly. The dual frame applies the
-    pseudo-inverse of the frame operator to each F_j, which is the plain
-    inverse whenever the F_j span (always, for valid projective frames).
+    F_j = (1/|G|) sum_g chi_j(g) P_g, which the frame conventions force to be
+    Hermitian (NotHermitian otherwise). The frame is then verified, and for a
+    verified frame sum_g |P_g><P_g| = (|G|/d) I, so the Fourier frame operator
+    is I/d and the canonical dual frame is D_j = d F_j. The reconstruction
+    identity d sum_j |F_j><F_j| = I is asserted at run time.
     """
-    group = frame.group
-    n = group.size
-    d = frame.dim
-    stack = frame.stack()
-    table = character_table(group)
-    fourier = np.tensordot(table, stack, axes=([1], [0])) / n
-
-    scale = max(max_abs(f) for f in fourier)
-    for j in range(n):
-        deviation = max_abs(fourier[j] - fourier[j].conj().T)
-        if deviation > 1e-8 * scale:
-            raise NotHermitian(
-                f"Fourier operator {group.elements[j]} is not Hermitian "
-                f"(deviation {deviation:.3e}); the frame violates the inverse convention"
-            )
-    fourier = 0.5 * (fourier + np.transpose(fourier, (0, 2, 1)).conj())
-
-    coords = np.stack([herm_coords(f) for f in fourier])  # (n, d^2) real
-    gram = coords.T @ coords
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= tol.band(float(eigs[-1])):
-        raise NotAFrame(
-            f"Fourier operators do not span: frame lower bound {eigs[0]:.3e}"
-        )
-    dual_coords = coords @ np.linalg.pinv(gram)
-    resolution = max_abs(coords.T @ dual_coords - np.eye(d * d))
+    fourier = _fourier_operators(frame)
+    validate_frame(frame, tol)
+    n, d = frame.group.size, frame.dim
+    vecs = fourier.reshape(n, d * d)
+    resolution = max_abs(d * (vecs.T @ vecs.conj()) - np.eye(d * d))
     if resolution > 1e-8:
         raise InternalInconsistency(
             f"dual frame fails the reconstruction identity (residual {resolution:.3e})"
@@ -119,12 +92,7 @@ def build_representation(
     if max_abs(total - np.eye(d)) > 10.0 * tol.band(1.0):
         raise InternalInconsistency("Fourier operators do not sum to the identity")
 
-    dual_ops = tuple(herm_from_coords(dual_coords[j], d) for j in range(n))
-    return QuasiProbRepresentation(
-        frame=frame,
-        fourier_ops=tuple(fourier),
-        dual_ops=dual_ops,
-    )
+    return QuasiProbRepresentation(frame=frame, fourier_ops=fourier, dual_ops=d * fourier)
 
 
 def _require_state_shape(rep: QuasiProbRepresentation, rho, tol: Tolerance) -> np.ndarray:
@@ -145,7 +113,7 @@ def represent(
     residue is checked and discarded.
     """
     arr = _require_state_shape(rep, rho, tol)
-    mu = np.einsum("jab,ba->j", np.stack(rep.fourier_ops), arr)
+    mu = np.einsum("jab,ba->j", rep.fourier_ops, arr)
     imag = float(np.max(np.abs(mu.imag)))
     if imag > 10.0 * tol.band(max(1.0, max_abs(mu))):
         raise InternalInconsistency(
@@ -174,7 +142,7 @@ def reconstruct(rep: QuasiProbRepresentation, mu) -> np.ndarray:
         raise ShapeMismatch(
             f"distribution has shape {values.shape}, expected ({rep.group.size},)"
         )
-    return np.tensordot(values, np.stack(rep.dual_ops), axes=([0], [0]))
+    return np.tensordot(values, rep.dual_ops, axes=([0], [0]))
 
 
 # --------------------------------------------------------------------------

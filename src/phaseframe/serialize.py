@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .bochner import BochnerCertificate
 from .errors import FrameFileError, ShapeMismatch
 from .frames import ProjectiveFrame, validate_frame
-from .groups import FiniteAbelianGroup, make_group
+from .groups import FiniteAbelianGroup, _checked_orders, make_group
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -115,12 +116,17 @@ def frame_from_json(data, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
         raise FrameFileError(
             f"unsupported schema_version {data.get('schema_version')!r}"
         )
-    group = make_group(orders)
-    if not isinstance(entries, list) or len(entries) != group.size:
+    try:
+        orders = _checked_orders(orders)
+    except (TypeError, ValueError) as exc:
+        raise FrameFileError(f"malformed group orders {orders!r}: {exc}") from exc
+    size = math.prod(orders)
+    if not isinstance(entries, list) or len(entries) != size:
         raise FrameFileError(
             f"frame file lists {len(entries) if isinstance(entries, list) else '?'} "
-            f"elements, group has {group.size}"
+            f"elements, group has {size}"
         )
+    group = make_group(orders)
     operators = []
     for pos, entry in enumerate(entries):
         try:

@@ -355,3 +355,43 @@ def test_certify_reads_each_input_file_once(tmp_path, frame_files, monkeypatch):
         assert sorted(reads) == sorted(["weyl3.json", path.name])
         payload = json.loads(out.read_text())
         assert payload["state"]["sha256"] == serialize.sha256_file(path)
+
+
+def _frame_file_with_orders(tmp_path, orders):
+    path = tmp_path / "orders.json"
+    payload = serialize.frame_to_json(pf.qubit_frame())
+    payload["group"]["orders"] = orders
+    payload["elements"] = payload["elements"][:1]
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_huge_group_file_is_rejected_before_the_group_is_built(tmp_path, capsys, monkeypatch):
+    # |G| = 2^40: enumerating the group would never finish, so building it fails the test.
+    def no_group(orders):
+        raise AssertionError(f"group {orders} built before the element count was checked")
+
+    monkeypatch.setattr(serialize, "make_group", no_group)
+    path = _frame_file_with_orders(tmp_path, [1048576, 1048576])
+    capsys.readouterr()
+    assert main(["certify", "--frame", str(path), "--state", "mixed"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: frame file lists 1 elements, group has 1099511627776\n"
+
+
+def test_order_below_two_in_a_frame_file_stays_invalid_order(tmp_path, capsys):
+    path = _frame_file_with_orders(tmp_path, [1, 4])
+    capsys.readouterr()
+    assert main(["certify", "--frame", str(path), "--state", "mixed"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: frame verification failed: "
+                   "cyclic factor order must be >= 2, got 1\n")
+
+
+@pytest.mark.parametrize("orders", [5, ["a", 2]])
+def test_malformed_orders_in_a_frame_file_exit_one(tmp_path, capsys, orders):
+    path = _frame_file_with_orders(tmp_path, orders)
+    capsys.readouterr()
+    assert main(["certify", "--frame", str(path), "--state", "mixed"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed group orders")

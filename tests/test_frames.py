@@ -342,9 +342,9 @@ def test_leonhardt_d4_largest_case():
 
 
 def test_frame_bounds_orthonormal_basis():
-    from phaseframe.linalg import hermitian_basis
-
-    a, b = pf.frame_bounds(hermitian_basis(2))
+    x, _ = pf.gen_pauli(2)
+    basis = [op / np.sqrt(2.0) for op in (np.eye(2), x, Y2, np.diag([1.0, -1.0]))]
+    a, b = pf.frame_bounds(basis)
     assert a == pytest.approx(1.0, abs=1e-12)
     assert b == pytest.approx(1.0, abs=1e-12)
 

@@ -5,7 +5,6 @@ import pytest
 
 import phaseframe as pf
 from phaseframe.errors import DimensionMismatch, NonSquare, NotHermitian
-from phaseframe.linalg import herm_coords, herm_from_coords, hermitian_basis
 
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -183,35 +182,6 @@ def test_tensor_of_pauli_frames_is_orthogonal(qubit_ppp):
             value = pf.trace_inner(pf.dagger(ops[i]), ops[j])
             expected = 4.0 if i == j else 0.0
             assert abs(value - expected) < 1e-12
-
-
-def test_hermitian_basis_is_orthonormal():
-    for d in (2, 3):
-        basis = hermitian_basis(d)
-        assert len(basis) == d * d
-        for i, a in enumerate(basis):
-            assert np.max(np.abs(a - a.conj().T)) < 1e-15
-            for j, b in enumerate(basis):
-                value = pf.trace_inner(a, b).real
-                assert abs(value - (1.0 if i == j else 0.0)) < 1e-14
-
-
-def test_herm_coords_roundtrip():
-    rng = np.random.default_rng(6)
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = 0.5 * (h + h.conj().T)
-    coords = herm_coords(m)
-    assert np.linalg.norm(coords) == pytest.approx(np.linalg.norm(m), abs=1e-12)
-    np.testing.assert_allclose(herm_from_coords(coords, 4), m, atol=1e-14)
-
-
-def test_coords_match_basis_inner_products():
-    rng = np.random.default_rng(7)
-    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    m = 0.5 * (h + h.conj().T)
-    coords = herm_coords(m)
-    for k, b in enumerate(hermitian_basis(3)):
-        assert coords[k] == pytest.approx(pf.trace_inner(b, m).real, abs=1e-12)
 
 
 def test_tolerance_rejects_bad_values():
