@@ -198,17 +198,39 @@ class _Invariants(NamedTuple):
 
 
 def _extract_cocycle(group: FiniteAbelianGroup, stack: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best-fit scalars alpha(g, g') and the worst residual |P_g P_g' - alpha P_{gg'}|."""
+    """Best-fit scalars alpha(g, g') and the worst residual |P_g P_g' - alpha P_{gg'}|.
+
+    Column-monomial stacks (one entry ``!= 0`` per column: phase[g, c] at row
+    rows[g, c]) cost O(|G|^2 d): column c of P_a P_b is phase[a, rows[b, c]]
+    phase[b, c] at row rows[a, rows[b, c]], alpha sums conj(target) product over
+    columns whose row matches P_ab's, and a column whose rows differ has residual
+    max(|product|, |alpha target|). Other stacks take :func:`_dense_cocycle`.
+    """
     n, d = group.size, stack.shape[1]
-    mul = group._mul
-    values = np.empty((n, n), dtype=np.complex128)
-    worst = np.empty(n)
-    for a in range(n):
+    nonzero = stack != 0
+    if not (nonzero.sum(axis=1) == 1).all():
+        return _dense_cocycle(group, stack)
+    rows = nonzero.argmax(axis=1)  # (n, d)
+    phase = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0, :]
+    values, worst = np.empty((n, n), dtype=np.complex128), np.empty(n)
+    for a, ab in enumerate(group._mul):
+        prod = phase[a][rows] * phase  # [b, c] = column c of P_a P_b
+        match = rows[a][rows] == rows[ab]
+        values[a] = alpha = np.where(match, phase[ab].conj() * prod, 0).sum(axis=1) / d
+        scaled = alpha[:, None] * phase[ab]
+        worst[a] = np.where(match, abs(prod - scaled), np.maximum(abs(prod), abs(scaled))).max()
+    return values, float(worst.max())
+
+
+def _dense_cocycle(group: FiniteAbelianGroup, stack: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`_extract_cocycle` for any stack, from all |G|^2 dense products."""
+    n, d = group.size, stack.shape[1]
+    values, worst = np.empty((n, n), dtype=np.complex128), np.empty(n)
+    for a, ab in enumerate(group._mul):
         prod = stack[a] @ stack  # (n, d, d)
-        target = stack[mul[a]]
+        target = stack[ab]
         # alpha = <target, prod> / <target, target>; targets are unitary, norm^2 = d.
-        alpha = np.einsum("nij,nij->n", target.conj(), prod) / d
-        values[a] = alpha
+        values[a] = alpha = np.einsum("nij,nij->n", target.conj(), prod) / d
         worst[a] = max_abs(prod - alpha[:, None, None] * target)
     return values, float(worst.max())
 

@@ -1,6 +1,18 @@
+from types import SimpleNamespace
+
 import pytest
 
 import phaseframe as pf
+from phaseframe import groups
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Fail on any group element enumeration, so a missing size guard fails, never hangs."""
+    def refuse(*ranges):
+        raise AssertionError("group enumerated")
+
+    monkeypatch.setattr(groups, "itertools", SimpleNamespace(product=refuse))
 
 
 @pytest.fixture(scope="session")

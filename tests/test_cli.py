@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import phaseframe as pf
-from phaseframe import serialize
+from phaseframe import groups, serialize
 from phaseframe.cli import main
 
 
@@ -377,6 +377,28 @@ def test_huge_group_file_is_rejected_before_the_group_is_built(tmp_path, capsys,
     assert main(["certify", "--frame", str(path), "--state", "mixed"]) == 1
     err = capsys.readouterr().err
     assert err == "error: frame file lists 1 elements, group has 1099511627776\n"
+
+
+def test_group_above_the_size_limit_exits_one(capsys, no_enumeration):
+    capsys.readouterr()
+    assert main(["group", "1048576", "1048576"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: group of order 1099511627776 exceeds {groups.MAX_GROUP_SIZE}\n"
+    )
+
+
+def test_frame_file_above_the_size_limit_exits_two(tmp_path, capsys, qubit_ppp, no_enumeration):
+    size = groups.MAX_GROUP_SIZE + 1
+    payload = serialize.frame_to_json(qubit_ppp)
+    payload["group"]["orders"] = [size]
+    payload["elements"] = [{"g": [k], "matrix": payload["elements"][0]["matrix"]}
+                           for k in range(size)]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["certify", "--frame", str(path), "--state", "mixed"]) == 2
+    assert capsys.readouterr().err == ("error: frame verification failed: "
+                                       f"group of order {size} exceeds {size - 1}\n")
 
 
 def test_order_below_two_in_a_frame_file_stays_invalid_order(tmp_path, capsys):

@@ -3,6 +3,8 @@ import pytest
 
 import phaseframe as pf
 from phaseframe.errors import GroupMismatch, InvalidOrder
+from phaseframe.groups import MAX_GROUP_SIZE
+from phaseframe.linalg import is_psd
 
 
 def test_make_group_sizes():
@@ -16,6 +18,18 @@ def test_make_group_rejects_small_orders():
         pf.make_group([1])
     with pytest.raises(InvalidOrder):
         pf.make_group([3, 0])
+
+
+@pytest.mark.parametrize("orders", [[1048576, 1048576], [MAX_GROUP_SIZE + 1], [2] * 13])
+def test_make_group_rejects_a_group_above_the_size_limit(orders, no_enumeration):
+    with pytest.raises(InvalidOrder, match=f"exceeds {MAX_GROUP_SIZE}"):
+        pf.make_group(orders)
+
+
+@pytest.mark.parametrize("orders", [[2] * 12, [MAX_GROUP_SIZE], [64, 64]])
+def test_groups_up_to_the_size_limit_are_admitted(orders, no_enumeration):
+    with pytest.raises(AssertionError, match="group enumerated"):
+        pf.make_group(orders)
 
 
 def test_trivial_group():
@@ -218,3 +232,27 @@ def test_translate_matrix_structure():
             expected = phi[g.index(g.compose(gb, g.inverse(ga)))]
             assert t[a, b] == expected
     assert np.max(np.abs(t - t.conj().T)) < 1e-15
+
+
+def _classical_cases():
+    """Seeded conjugate-symmetric normalized phi: signed mu, a pmf, and a boundary pmf."""
+    rng = np.random.default_rng(29)
+    for orders in ([5], [3, 3], [2, 2, 2], [4, 2], [6, 2]):
+        g = pf.make_group(orders)
+        signed = rng.normal(size=g.size)
+        signed += (1.0 - signed.sum()) / g.size
+        pmf = rng.random(g.size)
+        pmf /= pmf.sum()
+        boundary = np.zeros(g.size)  # exact zeros: the minimum eigenvalue is 0
+        boundary[rng.choice(g.size, size=2, replace=False)] = [0.25, 0.75]
+        for mu in (signed, pmf, boundary):
+            yield g, pf.fourier_inverse(g, mu)
+
+
+@pytest.mark.parametrize("group, phi", list(_classical_cases()))
+def test_classical_bochner_spectrum_matches_the_dense_translate_matrix(group, phi):
+    result = pf.classical_bochner_check(group, phi)
+    psd, min_eig = is_psd(pf.translate_matrix(group, phi))
+    normalized = abs(phi[0] - 1.0) <= pf.DEFAULT_TOL.band(1.0)
+    assert result.accepted == (psd and normalized)
+    assert result.translate_min_eig == pytest.approx(min_eig, abs=1e-12)
