@@ -95,11 +95,6 @@ def _require_conjugate_symmetric(
     return arr
 
 
-def _hermitian_limit(arr: np.ndarray, tol: Tolerance) -> float:
-    """Largest deviation from Hermitian accepted in the twisted translate matrix."""
-    return 10.0 * tol.band(max_abs(arr))
-
-
 def _require_same_group(group: FiniteAbelianGroup, cocycle: CocycleTable) -> None:
     if cocycle.group.orders != group.orders:
         raise CocycleMismatch(
@@ -131,7 +126,7 @@ def build_mq(
     m = arr[group._diff] * cocycle.values[group._inv, :]
     deviation = np.abs(m - m.conj().T)
     worst = float(np.max(deviation))
-    if worst > _hermitian_limit(arr, tol):
+    if worst > tol.derived_band(max_abs(arr)):
         a, b = np.unravel_index(int(np.argmax(deviation)), m.shape)
         raise CocycleMismatch(
             f"twisted translate matrix not Hermitian at pair "
@@ -201,7 +196,7 @@ def _require_hermitian_twist(
     bound = max_abs(np.abs(phi) * cocycle.twist_defect) + _symmetry_residual(
         group, phi
     ) * max_abs(cocycle.values)
-    if bound > 0.5 * _hermitian_limit(phi, tol):
+    if bound > 0.5 * tol.derived_band(max_abs(phi)):
         build_mq(group, phi, cocycle, tol)
 
 

@@ -16,6 +16,7 @@ frames: the doubled phase space for even dimension and the Z2^3 example.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping, NamedTuple
@@ -236,17 +237,47 @@ def _dense_cocycle(group: FiniteAbelianGroup, stack: np.ndarray) -> tuple[np.nda
 
 
 def _cocycle_identity_residual(group: FiniteAbelianGroup, values: np.ndarray) -> float:
-    """Worst violation of alpha(a,b) alpha(ab,c) = alpha(b,c) alpha(a,bc) over all triples.
+    """Proven upper bound on the worst |delta(a, b, c)| over all triples, from k rows.
 
-    Runs one first index a at a time, so it needs O(|G|^2) memory.
+    delta(a, b, c) = alpha(a,b) alpha(ab,c) - alpha(b,c) alpha(a,bc) is the
+    defect of the 2-cocycle identity. For any table alpha, a = s a' and every
+    b, c, expanding the right side (all other products cancel in pairs) gives
+
+        alpha(s,a') delta(a,b,c) = alpha(s,a'bc) delta(a',b,c) + alpha(a',b) delta(s,a'b,c)
+                                   + delta(s,a',b) alpha(ab,c) - delta(s,a',bc) alpha(b,c).
+
+    Take s among the canonical generators e_1..e_k of Z_n1 x ... x Z_nk and
+    let D_l bound |delta(a, ., .)| over the a whose residues sum to l, so
+    0 <= l <= L = sum(n_i - 1). With m = max ||alpha| - 1| < 1,
+    u = max_g |alpha(e, g) - 1|, rho = (1 + m) / (1 - m) and delta_S the worst
+    |delta(s, b, c)| over the generator rows:
+
+    * D_0 = 2 (1 + m) u bounds delta(e,b,c) = alpha(b,c) (alpha(e,b) - alpha(e,bc));
+    * an a with l >= 1 has some residue a_i >= 1, so a' = a e_i^-1 has l - 1;
+      dividing the identity by |alpha(s,a')| >= 1 - m gives
+      D_l = rho (D_(l-1) + 3 delta_S).
+
+    So |delta| <= 2 (1 + m) rho^L u + 3 delta_S (rho + ... + rho^L) on every
+    triple, since the bound does not decrease with l; that value is returned
+    (inf when m >= 1). It is 0 when delta_S = u = 0, so a table that is exact
+    on the generator rows is a 2-cocycle. The generator rows cost O(k |G|^2)
+    time, one row at a time in O(|G|^2) memory; the trivial group has none.
     """
     mul = group._mul
-    worst = np.empty(group.size)
-    for a, row in enumerate(values):
-        lhs = row[:, None] * values[mul[a]]  # [b, c] = alpha(a, b) alpha(ab, c)
-        rhs = values * row[mul]  # [b, c] = alpha(b, c) alpha(a, bc)
-        worst[a] = max_abs(lhs - rhs)
-    return float(worst.max())
+    modulus = max_abs(np.abs(values) - 1.0)
+    if modulus >= 1.0:
+        return float("inf")
+    rho = (1.0 + modulus) / (1.0 - modulus)
+    defect = 0.0  # delta_S
+    for i in range(len(group.orders)):
+        s = math.prod(group.orders[i + 1:])  # lexicographic index of e_i
+        lhs = values[s][:, None] * values[mul[s]]  # [b, c] = alpha(s, b) alpha(sb, c)
+        rhs = values * values[s][mul]  # [b, c] = alpha(b, c) alpha(s, bc)
+        defect = max(defect, max_abs(lhs - rhs))
+    bound = 2.0 * (1.0 + modulus) * max_abs(values[0] - 1.0)  # D_0
+    for _ in range(sum(n - 1 for n in group.orders)):  # D_1 .. D_L
+        bound = rho * (bound + 3.0 * defect)
+    return bound
 
 
 def _invariant_pass(frame: ProjectiveFrame, tol: Tolerance) -> _Invariants:
@@ -505,17 +536,17 @@ def phase_fix(
 # derived data
 
 
-def _fourier_operators(frame: ProjectiveFrame) -> np.ndarray:
+def _fourier_operators(frame: ProjectiveFrame, tol: Tolerance) -> np.ndarray:
     """Fourier operators F_j = (1/|G|) sum_g chi_j(g) P_g as one (|G|, d, d) array.
 
-    The frame conventions force each F_j to be Hermitian; a material deviation
-    means the input violates the inverse convention and raises NotHermitian.
-    The returned operators are symmetrized, so they are Hermitian exactly.
+    The frame conventions force each F_j to be Hermitian; a deviation beyond
+    ``tol.derived_band(max|F|)`` breaks the inverse convention and raises
+    NotHermitian. The returned operators are symmetrized, so Hermitian exactly.
     """
     group = frame.group
     fourier = np.tensordot(character_table(group), frame.stack(), axes=([1], [0])) / group.size
     deviation = np.abs(fourier - fourier.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = np.flatnonzero(deviation > 1e-8 * max_abs(fourier))
+    bad = np.flatnonzero(deviation > tol.derived_band(max_abs(fourier)))
     if bad.size:
         j = int(bad[0])
         raise NotHermitian(
@@ -609,7 +640,7 @@ def frame_report(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> dict:
             1e-10,
         )
 
-    a, b = frame_bounds(_fourier_operators(frame), tol)
+    a, b = frame_bounds(_fourier_operators(frame, tol), tol)
     spanning_ok = a > tol.band(b)
     checks.append(
         ("fourier_frame_bounds", spanning_ok, f"a = {a:.6g}, b = {b:.6g}")

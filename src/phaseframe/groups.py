@@ -59,17 +59,16 @@ class FiniteAbelianGroup:
         res = np.array(elements, dtype=np.int64).reshape(n, k)
         ordv = np.array(orders, dtype=np.int64)
         # Place values of the lexicographic index: weight[i] = prod(orders[i+1:]).
-        weight = np.ones(k, dtype=np.int64)
-        for i in range(k - 2, -1, -1):
-            weight[i] = weight[i + 1] * orders[i + 1]
-        if k:
-            mul = ((res[:, None, :] + res[None, :, :]) % ordv) @ weight
-            diff = ((res[None, :, :] - res[:, None, :]) % ordv) @ weight
-            inv = ((-res) % ordv) @ weight
-        else:
-            mul = np.zeros((1, 1), dtype=np.int64)
-            diff = np.zeros((1, 1), dtype=np.int64)
-            inv = np.zeros(1, dtype=np.int64)
+        weight = np.array([math.prod(orders[i + 1:]) for i in range(k)], dtype=np.int64)
+        # Accumulated one factor at a time, so no (|G|, |G|, k) temporary exists.
+        mul = np.zeros((n, n), dtype=np.int64)
+        for r, order, w in zip(res.T, orders, weight):
+            term = np.add.outer(r, r)
+            term %= order
+            term *= w
+            mul += term
+        inv = ((-res) % ordv) @ weight
+        diff = mul[inv]  # [g, g'] = index of g' g^-1
         object.__setattr__(self, "_residues", res)
         object.__setattr__(self, "_mul", mul)
         object.__setattr__(self, "_diff", diff)
@@ -227,7 +226,7 @@ def classical_bochner_check(
 
     accepted = symmetric and normalized and psd
     if accepted:
-        mu_band = 10.0 * tol.band(max(1.0, max_abs(mu_complex)))
+        mu_band = tol.derived_band(max(1.0, max_abs(mu_complex)))
         if (
             min_mu < -mu_band
             or abs(np.sum(mu_complex) - 1.0) > mu_band

@@ -50,6 +50,11 @@ class Tolerance:
         """Acceptance band width for a quantity of the given magnitude."""
         return self.atol + self.rtol * abs(scale)
 
+    def derived_band(self, scale: float = 1.0) -> float:
+        """Ten times :meth:`band`: for a quantity computed from checked inputs by one
+        more numeric step (a Fourier sum, a product, a transform that is real exactly)."""
+        return 10.0 * self.band(scale)
+
 
 DEFAULT_TOL = Tolerance()
 

@@ -78,18 +78,18 @@ def build_representation(
     is I/d and the canonical dual frame is D_j = d F_j. The reconstruction
     identity d sum_j |F_j><F_j| = I is asserted at run time.
     """
-    fourier = _fourier_operators(frame)
+    fourier = _fourier_operators(frame, tol)
     validate_frame(frame, tol)
     n, d = frame.group.size, frame.dim
     vecs = fourier.reshape(n, d * d)
     resolution = max_abs(d * (vecs.T @ vecs.conj()) - np.eye(d * d))
-    if resolution > 1e-8:
+    if resolution > tol.derived_band(1.0):
         raise InternalInconsistency(
             f"dual frame fails the reconstruction identity (residual {resolution:.3e})"
         )
 
     total = fourier.sum(axis=0)
-    if max_abs(total - np.eye(d)) > 10.0 * tol.band(1.0):
+    if max_abs(total - np.eye(d)) > tol.derived_band(1.0):
         raise InternalInconsistency("Fourier operators do not sum to the identity")
 
     return QuasiProbRepresentation(frame=frame, fourier_ops=fourier, dual_ops=d * fourier)
@@ -115,7 +115,7 @@ def represent(
     arr = _require_state_shape(rep, rho, tol)
     mu = np.einsum("jab,ba->j", rep.fourier_ops, arr)
     imag = float(np.max(np.abs(mu.imag)))
-    if imag > 10.0 * tol.band(max(1.0, max_abs(mu))):
+    if imag > tol.derived_band(max(1.0, max_abs(mu))):
         raise InternalInconsistency(
             f"quasi-probability values have imaginary residue {imag:.3e}"
         )
@@ -173,7 +173,7 @@ def gross_wigner_pure(amplitudes, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     kernel = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)  # [s, p]
     table = pairs @ kernel / d
     imag = float(np.max(np.abs(table.imag)))
-    if imag > 10.0 * tol.band(1.0):
+    if imag > tol.derived_band(1.0):
         raise InternalInconsistency(f"Wigner table has imaginary residue {imag:.3e}")
     return table.real.copy()
 

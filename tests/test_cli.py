@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -417,3 +420,25 @@ def test_malformed_orders_in_a_frame_file_exit_one(tmp_path, capsys, orders):
     assert main(["certify", "--frame", str(path), "--state", "mixed"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed group orders")
+
+
+def _run_module(module, *args):
+    """Run ``python -m module args`` on the imported package, returning the process."""
+    env = dict(os.environ)
+    src = str(Path(pf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["phaseframe", "phaseframe.cli"])
+def test_module_entry_points_run_the_cli(module, tmp_path):
+    expected = tmp_path / "in_process.json"
+    assert main(["frame", "build", "weyl", "--d", "3", "--out", str(expected)]) == 0
+    out = tmp_path / "module.json"
+    done = _run_module(module, "frame", "build", "weyl", "--d", "3", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == expected.read_bytes()
+    bad = _run_module(module, "frame", "build", "weyl", "--d")
+    assert bad.returncode == 1
+    assert "expected one argument" in bad.stderr

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,36 @@ def test_make_group_rejects_a_group_above_the_size_limit(orders, no_enumeration)
 def test_groups_up_to_the_size_limit_are_admitted(orders, no_enumeration):
     with pytest.raises(AssertionError, match="group enumerated"):
         pf.make_group(orders)
+
+
+def broadcast_tables(group):
+    """_mul, _diff and _inv from (|G|, |G|, k) broadcasts, the reference formula."""
+    res = group._residues
+    ordv = np.array(group.orders, dtype=np.int64)
+    weight = np.array([math.prod(group.orders[i + 1:]) for i in range(len(group.orders))],
+                      dtype=np.int64)
+    mul = ((res[:, None, :] + res[None, :, :]) % ordv) @ weight
+    diff = ((res[None, :, :] - res[:, None, :]) % ordv) @ weight
+    return mul, diff, ((-res) % ordv) @ weight
+
+
+@pytest.mark.parametrize("orders", [[], [2], [3, 4], [2] * 5, [11, 11]])
+def test_group_tables_match_the_broadcast_formula(orders):
+    group = pf.make_group(orders)
+    for table, reference in zip((group._mul, group._diff, group._inv), broadcast_tables(group)):
+        assert table.dtype == reference.dtype and table.shape == reference.shape
+        np.testing.assert_array_equal(table, reference)
+
+
+def test_group_tables_are_built_without_cubic_temporaries():
+    tracemalloc.start()
+    try:
+        pf.make_group([2] * 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The two int64 tables take 16 MiB; one (|G|, |G|, 10) temporary takes 80 MiB.
+    assert peak <= 40 * 2**20
 
 
 def test_trivial_group():

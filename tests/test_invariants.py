@@ -1,10 +1,13 @@
 """The frame invariant pass: its 2-cocycle check, its memory bound, and its memo."""
 
+import functools
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phaseframe as pf
 from phaseframe import frames
@@ -12,6 +15,18 @@ from phaseframe.cli import main
 from phaseframe.errors import NotAFrame
 
 BUILTIN = ["weyl3", "weyl5", "qubit_ppp", "qubit_ppm", "tensor_qq", "leonhardt2", "z2cubed"]
+
+
+@functools.cache
+def builtin_cocycle(name):
+    """(group, verified cocycle values) of a small built-in frame, built once."""
+    frame = {
+        "weyl3": lambda: pf.weyl_frame(3),
+        "leonhardt2": lambda: pf.leonhardt_frame(2),
+        "z2cubed": pf.z2cubed_frame,
+        "tensor_qq": lambda: pf.tensor_frame(pf.qubit_frame(), pf.qubit_frame()),
+    }[name]()
+    return frame.group, pf.cocycle_table(frame).values
 
 
 def brute_force_identity_residual(group, values):
@@ -45,12 +60,14 @@ def count_extractions(monkeypatch):
 
 @pytest.mark.parametrize("name", BUILTIN)
 def test_identity_check_matches_brute_force_on_builtin_tables(name, request):
+    # The check returns a proven upper bound on the brute-force residual.
     frame = request.getfixturevalue(name)
     values = pf.cocycle_table(frame).values
-    chunked = frames._cocycle_identity_residual(frame.group, values)
+    bound = frames._cocycle_identity_residual(frame.group, values)
     brute = brute_force_identity_residual(frame.group, values)
-    assert chunked < 1e-12 and brute < 1e-12
-    assert chunked == pytest.approx(brute, abs=1e-15)
+    assert brute < 1e-12
+    assert bound >= brute - 1e-15
+    assert bound <= pf.DEFAULT_TOL.band(1.0)
 
 
 @pytest.mark.parametrize("name", ["weyl3", "leonhardt2", "z2cubed"])
@@ -58,10 +75,75 @@ def test_identity_check_fires_on_one_perturbed_entry(name, request):
     frame = request.getfixturevalue(name)
     values = np.array(pf.cocycle_table(frame).values)
     values[1, 2] *= np.exp(1e-3j)
-    chunked = frames._cocycle_identity_residual(frame.group, values)
+    bound = frames._cocycle_identity_residual(frame.group, values)
     brute = brute_force_identity_residual(frame.group, values)
     assert brute > 1e-4
-    assert chunked == pytest.approx(brute, rel=1e-9)
+    assert bound >= brute - 1e-15
+    assert bound > pf.DEFAULT_TOL.band(1.0)
+
+
+@pytest.mark.parametrize("name", ["weyl3", "z2cubed", "tensor_qq"])
+def test_identity_bound_holds_under_every_single_entry_perturbation(name, request):
+    frame = request.getfixturevalue(name)
+    exact = pf.cocycle_table(frame).values
+    n = frame.group.size
+    for a, b in itertools.product(range(n), repeat=2):
+        values = np.array(exact)
+        values[a, b] *= 1.0005 * np.exp(1e-3j)
+        bound = frames._cocycle_identity_residual(frame.group, values)
+        brute = brute_force_identity_residual(frame.group, values)
+        assert brute > 1e-4, (a, b)
+        assert bound >= brute - 1e-15, (a, b, bound, brute)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["weyl3", "leonhardt2", "z2cubed", "tensor_qq"]),
+    phase_scale=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]),
+    modulus_scale=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_identity_bound_holds_under_random_noise(name, phase_scale, modulus_scale, seed):
+    group, exact = builtin_cocycle(name)
+    rng = np.random.default_rng(seed)
+    values = exact * np.exp(1j * phase_scale * rng.uniform(-1, 1, exact.shape))
+    values = values * (1.0 + modulus_scale * rng.uniform(-1, 1, exact.shape))
+    bound = frames._cocycle_identity_residual(group, values)
+    brute = brute_force_identity_residual(group, values)
+    assert bound >= brute - 1e-15
+
+
+def test_identity_check_on_the_trivial_group():
+    frame = pf.trivial_frame()
+    pf.validate_frame(frame)
+    values = pf.cocycle_table(frame).values
+    assert frames._cocycle_identity_residual(frame.group, values) == 0.0
+    assert brute_force_identity_residual(frame.group, values) == 0.0
+
+
+def test_identity_check_on_a_non_monomial_stack(weyl3):
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    ops = tuple(u @ op @ u.conj().T for op in weyl3.operators)
+    frame = pf.ProjectiveFrame(group=weyl3.group, operators=ops, dim=3)
+    values = pf.cocycle_table(frame).values
+    bound = frames._cocycle_identity_residual(frame.group, values)
+    brute = brute_force_identity_residual(frame.group, values)
+    assert brute - 1e-15 <= bound <= pf.DEFAULT_TOL.band(1.0)
+    values = np.array(values)
+    values[4, 5] *= np.exp(1e-3j)
+    bound = frames._cocycle_identity_residual(frame.group, values)
+    brute = brute_force_identity_residual(frame.group, values)
+    assert brute > 1e-4
+    assert bound >= brute - 1e-15
+
+
+def test_identity_check_without_a_modulus_margin_is_infinite_and_nan_fails(weyl3):
+    values = np.array(pf.cocycle_table(weyl3).values)
+    values[3, 3] = 0.0
+    assert frames._cocycle_identity_residual(weyl3.group, values) == np.inf
+    values[3, 3] = np.nan
+    assert np.isnan(frames._cocycle_identity_residual(weyl3.group, values))
 
 
 def test_identity_check_on_four_qubits_stays_in_quadratic_memory(qubit_ppp):

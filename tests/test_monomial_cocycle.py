@@ -65,7 +65,8 @@ def _assert_routes_agree(frame: pf.ProjectiveFrame) -> None:
         dense_outcomes = [_outcome(check, _rebuilt(frame)) for check in checks]
     assert fast.keys() == dense.keys()
     for name, (r, limit) in fast.items():
-        assert r == pytest.approx(dense[name][0], abs=AGREE), name
+        # Relative too: the cocycle_identity bound scales a defect by up to rho^L.
+        assert r == pytest.approx(dense[name][0], rel=AGREE, abs=AGREE), name
         assert limit == dense[name][1]
     assert fast_outcomes == dense_outcomes
 

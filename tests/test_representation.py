@@ -79,6 +79,17 @@ def test_build_representation_rejects_broken_inverse_convention(weyl3):
         pf.build_representation(frame)
 
 
+def test_fourier_hermiticity_follows_the_callers_tolerance(weyl3):
+    # A 1e-10 rephasing breaks the inverse convention by about 1e-10: inside
+    # the default band, far outside a 1e-14 one.
+    ops = [op.copy() for op in weyl3.operators]
+    ops[weyl3.group.index((1, 0))] *= np.exp(1e-10j)
+    frame = pf.ProjectiveFrame(group=weyl3.group, operators=tuple(ops), dim=3)
+    with pytest.raises(NotHermitian):
+        pf.build_representation(frame, pf.Tolerance(1e-14, 1e-14))
+    pf.build_representation(frame)
+
+
 # --------------------------------------------------------------------------
 # represent / characteristic
 
