@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import phaseframe as pf
 from phaseframe import frames
 from phaseframe.cli import main
-from phaseframe.errors import NotAFrame
+from phaseframe.errors import NotAFrame, NotProjective
 
 BUILTIN = ["weyl3", "weyl5", "qubit_ppp", "qubit_ppm", "tensor_qq", "leonhardt2", "z2cubed"]
 
@@ -136,6 +136,22 @@ def test_identity_check_on_a_non_monomial_stack(weyl3):
     brute = brute_force_identity_residual(frame.group, values)
     assert brute > 1e-4
     assert bound >= brute - 1e-15
+
+
+def test_identity_bound_rejects_a_rounded_frame_that_every_triple_accepts():
+    # Deliberate: rounding Weyl 5 to 9 decimals leaves every triple and every
+    # other row inside the band, but the bound (L = 8) lies above it.
+    exact = pf.weyl_frame(5)
+    ops = tuple(np.round(op.real, 9) + 1j * np.round(op.imag, 9) for op in exact.operators)
+    frame = pf.ProjectiveFrame(group=exact.group, operators=ops, dim=5)
+    band = pf.DEFAULT_TOL.band(1.0)
+    with pytest.raises(NotProjective, match=r"2-cocycle identity violated \(bound "):
+        pf.validate_frame(frame)
+    found = frame._verified[pf.DEFAULT_TOL]
+    assert all(r <= limit for name, (r, limit) in found.residuals.items()
+               if name != "cocycle_identity")
+    assert brute_force_identity_residual(frame.group, found.cocycle.values) <= band / 2
+    assert found.residuals["cocycle_identity"][0] > 4 * band
 
 
 def test_identity_check_without_a_modulus_margin_is_infinite_and_nan_fails(weyl3):

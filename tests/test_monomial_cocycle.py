@@ -65,8 +65,10 @@ def _assert_routes_agree(frame: pf.ProjectiveFrame) -> None:
         dense_outcomes = [_outcome(check, _rebuilt(frame)) for check in checks]
     assert fast.keys() == dense.keys()
     for name, (r, limit) in fast.items():
-        # Relative too: the cocycle_identity bound scales a defect by up to rho^L.
-        assert r == pytest.approx(dense[name][0], rel=AGREE, abs=AGREE), name
+        # The cocycle_identity bound scales a defect by up to 3 L rho^L, so that
+        # row may also differ relative to its size; every other row is absolute.
+        rel = AGREE if name == "cocycle_identity" else None
+        assert r == pytest.approx(dense[name][0], rel=rel, abs=AGREE), name
         assert limit == dense[name][1]
     assert fast_outcomes == dense_outcomes
 
