@@ -636,8 +636,8 @@ def frame_report(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> dict:
     if faithful:
         traces = [abs(np.trace(op)) for op in frame.operators[1:]]
         record("tracelessness_off_identity", max(traces) if traces else 0.0, 1e-10)
-        stack = frame.stack()
-        gram = np.einsum("aij,bij->ab", stack.conj(), stack)
+        flat = frame.stack().reshape(frame.group.size, -1)
+        gram = flat.conj() @ flat.T
         record(
             "gram_orthogonality",
             max_abs(gram - frame.dim * np.eye(frame.group.size)),

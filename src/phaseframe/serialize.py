@@ -8,6 +8,7 @@ lists, CSV reals with 17 significant digits (full double round-trip).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -70,13 +71,13 @@ def parse_element(text: str) -> tuple[int, ...]:
 
 def matrix_to_json(m: np.ndarray) -> list:
     arr = np.asarray(m, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FrameFileError(f"malformed matrix payload: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise FrameFileError(f"matrix payload has shape {arr.shape}, expected (rows, cols, 2)")
@@ -85,17 +86,18 @@ def matrix_from_json(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def frame_to_json(frame: ProjectiveFrame) -> dict:
+def _frame_payload(frame: ProjectiveFrame, matrices) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "group": {"orders": list(frame.group.orders)},
         "dim": frame.dim,
-        "elements": [
-            {"g": list(g), "matrix": matrix_to_json(op)}
-            for g, op in zip(frame.group.elements, frame.operators)
-        ],
+        "elements": [{"g": list(g), "matrix": m} for g, m in zip(frame.group.elements, matrices)],
         "metadata": frame.metadata,
     }
+
+
+def frame_to_json(frame: ProjectiveFrame) -> dict:
+    return _frame_payload(frame, matrix_to_json(frame.stack()))
 
 
 def frame_from_json(data, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
@@ -127,8 +129,14 @@ def frame_from_json(data, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
             f"elements, group has {size}"
         )
     group = make_group(orders)
-    operators = []
-    for pos, entry in enumerate(entries):
+    try:  # one parse of all payloads; an irregular file takes the per-entry checks below
+        cells = np.asarray([entry["matrix"] for entry in entries], dtype=float)
+        regular = cells.shape == (size, dim, dim, 2) and np.isfinite(cells).all() and all(
+            tuple(entry["g"]) == g for entry, g in zip(entries, group.elements))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        regular = False
+    operators = cells[..., 0] + 1j * cells[..., 1] if regular else []
+    for pos, entry in enumerate(() if regular else entries):
         try:
             g = tuple(int(r) for r in entry["g"])
             payload = entry["matrix"]
@@ -153,13 +161,44 @@ def frame_from_json(data, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
     return frame
 
 
+@functools.lru_cache(maxsize=64)
+def _array_layout(shape: tuple[int, ...], pad: str) -> list[str]:
+    """The indent=2 text of a nested list of ``shape`` at ``pad``, split at its numbers."""
+    text = json.dumps(np.zeros(shape).tolist(), indent=2)
+    return text.replace("\n", "\n" + pad).split("0.0")
+
+
+def _render(value, pad: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` at indent ``pad``, an ndarray (under
+    string keys) standing for its ``tolist()``. The stdlib renders what it can encode, whole;
+    re-indenting its text is safe, as a JSON string holds no raw newline."""
+    if isinstance(value, np.ndarray) and np.isfinite(value).all():
+        layout = _array_layout(value.shape, pad)
+        parts = [""] * (2 * len(layout) - 1)
+        parts[::2] = layout
+        parts[1::2] = map(float.__repr__, value.ravel().tolist())
+        return "".join(parts)
+    try:
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+    except TypeError:  # an ndarray inside: this level is rendered here
+        if not isinstance(value, (dict, list, tuple, np.ndarray)):
+            raise
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_render(v, inner)}" for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    items = [_render(v, inner) for v in value]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
 def save_json(path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` + newline, ndarrays as lists."""
+    Path(path).write_text(_render(obj, "") + "\n", encoding="utf-8")
 
 
 def save_frame(frame: ProjectiveFrame, path) -> None:
-    save_json(path, frame_to_json(frame))
+    stack = frame.stack()  # complex128, C-contiguous: viewed as [re, im] pairs
+    save_json(path, _frame_payload(frame, stack.view(float).reshape(*stack.shape, 2)))
 
 
 def _read_text(path, what: str) -> tuple[str, bytes]:

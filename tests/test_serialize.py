@@ -1,10 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phaseframe as pf
 from phaseframe import serialize
+from phaseframe.cli import main
 from phaseframe.errors import FrameFileError, NotProjective, ShapeMismatch
 
 
@@ -149,3 +155,154 @@ def test_undecodable_state_and_distribution_files_are_malformed(tmp_path, weyl3)
         serialize.load_state(path)
     with pytest.raises(FrameFileError, match="not valid UTF-8"):
         serialize.load_distribution_csv(path, weyl3.group)
+
+
+# -- byte identity with the stdlib indent=2 encoder ---------------------------
+
+def _stdlib_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _tensor_power(k):
+    power = pf.qubit_frame()
+    for _ in range(k - 1):
+        power = pf.tensor_frame(power, pf.qubit_frame())
+    return power
+
+
+def _weyl11_read_back(tmp_path):
+    path = tmp_path / "weyl11.json"
+    serialize.save_frame(pf.weyl_frame(11), path)
+    return serialize.load_frame(path)
+
+
+LADDER = {
+    **{f"weyl{d}": (lambda tmp, d=d: pf.weyl_frame(d)) for d in (3, 5, 7, 9, 11, 13)},
+    **{f"leonhardt{d}": (lambda tmp, d=d: pf.leonhardt_frame(d)) for d in (2, 3, 4, 5, 6)},
+    "z2cubed": lambda tmp: pf.z2cubed_frame(),
+    "qubit-even": lambda tmp: pf.qubit_frame((1, 1, 1)),
+    "qubit-odd": lambda tmp: pf.qubit_frame((1, 1, -1)),
+    **{f"qubit^{k}": (lambda tmp, k=k: _tensor_power(k)) for k in (2, 3, 4)},
+    "weyl11-read-back": _weyl11_read_back,
+}
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_save_frame_writes_the_stdlib_indent_encoding(tmp_path, name):
+    frame = LADDER[name](tmp_path)
+    path = tmp_path / "frame.json"
+    serialize.save_frame(frame, path)
+    assert path.read_text(encoding="utf-8") == _stdlib_text(serialize.frame_to_json(frame))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_save_state_writes_the_stdlib_indent_encoding(tmp_path, d, seed):
+    rho = pf.random_density(d, seed)
+    rho[0, -1] = complex(-0.0, 5e-324)
+    path = tmp_path / "state.json"
+    serialize.save_state(rho, path)
+    assert path.read_text(encoding="utf-8") == _stdlib_text(serialize.state_to_json(rho))
+
+
+@pytest.mark.parametrize("spec", ["mixed", "basis:1", "random-pure:4"])
+def test_certificate_file_is_the_stdlib_indent_encoding(tmp_path, weyl3, spec):
+    frame_path, out = tmp_path / "weyl3.json", tmp_path / "cert.json"
+    serialize.save_frame(weyl3, frame_path)
+    assert main(["certify", "--frame", str(frame_path), "--state", spec,
+                 "--out", str(out)]) in (0, 4)
+    text = out.read_text(encoding="utf-8")
+    assert text == _stdlib_text(json.loads(text))
+    cert = pf.certify_state(pf.build_representation(weyl3), pf.random_pure(3, 4))
+    payload = serialize.certificate_to_json(cert, {"path": "f", "sha256": "x"}, {"kind": "s"})
+    serialize.save_json(out, payload)
+    assert out.read_text(encoding="utf-8") == _stdlib_text(payload)
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-17, 1e16, 1e22, 1.7976931348623157e308, 0.1, -2.5]
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.sampled_from(['"', "\\", "\n", "q\"u\\o\nte", "ünï☃", "\x00", ""])
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+_METADATA = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=12,
+)
+_ARRAYS = hnp.arrays(
+    float,
+    hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
+    elements=st.sampled_from(_SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _as_lists(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    metadata=_METADATA,
+    arrays=st.lists(_ARRAYS, max_size=4),
+    top=_ARRAYS,
+    extra=st.dictionaries(st.text(max_size=4), _METADATA, max_size=3),
+)
+def test_renderer_matches_the_stdlib_encoder(metadata, arrays, top, extra):
+    payload = {
+        **extra,
+        "elements": [{"g": [k, -k], "matrix": a, "note": metadata} for k, a in enumerate(arrays)],
+        "metadata": {"nested": {"deeper": [metadata, {"m": top}]}, "plain": metadata},
+        "top": top,
+        "listed": arrays,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "payload.json"
+        serialize.save_json(path, payload)
+        assert path.read_text(encoding="utf-8") == _stdlib_text(_as_lists(payload))
+
+
+def test_renderer_writes_non_finite_arrays_as_the_stdlib_does():
+    arr = np.array([[1.0, np.nan], [np.inf, -np.inf]])
+    assert serialize._render({"a": arr, "b": [arr[0]]}, "") == json.dumps(
+        {"a": arr.tolist(), "b": [arr[0].tolist()]}, sort_keys=True, indent=2)
+
+
+# -- the bulk frame reader ----------------------------------------------------
+
+def test_regular_frame_file_is_parsed_in_one_pass(tmp_path, weyl5, monkeypatch):
+    path = tmp_path / "weyl5.json"
+    serialize.save_frame(weyl5, path)
+
+    def per_entry(data):
+        raise AssertionError("per-entry parse of a regular frame file")
+
+    monkeypatch.setattr(serialize, "matrix_from_json", per_entry)
+    frame = serialize.load_frame(path)
+    assert all(np.array_equal(a, b) for a, b in zip(frame.operators, weyl5.operators))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda e: e[2].update(matrix=e[2]["matrix"][:2]),
+     "operator at (0, 2) has shape (2, 3), frame dim is 3"),
+    (lambda e: e[7]["matrix"][1].__setitem__(0, [1.0]), "malformed matrix payload"),
+    (lambda e: e[1]["matrix"][0].__setitem__(0, ["x", 0.0]), "malformed matrix payload"),
+    (lambda e: e[3]["matrix"][0].__setitem__(0, [10**400, 0.0]), "int too large to convert"),
+    (lambda e: e[4]["matrix"][2].__setitem__(2, [float("nan"), 0.0]), "non-finite"),
+    (lambda e: (e[5].update(matrix=[[1.0]]), e[6].update(g=[0, 0])),
+     "matrix payload has shape (1, 1), expected (rows, cols, 2)"),
+    (lambda e: e[4].update(g=[2, 2]), "element (2, 2) at position 4 breaks lexicographic order"),
+    (lambda e: e[8].pop("g"), "malformed element entry at position 8"),
+])
+def test_irregular_frame_file_names_its_first_bad_entry(tmp_path, weyl3, mutate, message):
+    data = serialize.frame_to_json(weyl3)
+    mutate(data["elements"])
+    with pytest.raises(FrameFileError) as info:
+        serialize.frame_from_json(data)
+    assert message in str(info.value)
