@@ -30,7 +30,13 @@ from .errors import (
     ShapeMismatch,
 )
 from .frames import CocycleTable, ProjectiveFrame, _verified_cocycle
-from .groups import FiniteAbelianGroup, _as_group_values, fourier_forward, translate_matrix
+from .groups import (
+    FiniteAbelianGroup,
+    _as_group_values,
+    _symmetry_residual,
+    fourier_forward,
+    translate_matrix,
+)
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -79,10 +85,6 @@ class BochnerCertificate:
     input_mu_min: float | None = None
 
 
-def _symmetry_residual(group: FiniteAbelianGroup, arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr[group._inv] - arr.conj())))
-
-
 def _require_conjugate_symmetric(
     group: FiniteAbelianGroup, phi, tol: Tolerance
 ) -> np.ndarray:
@@ -93,13 +95,6 @@ def _require_conjugate_symmetric(
             f"phi(g^-1) != conj(phi(g)): residual {residual:.3e}"
         )
     return arr
-
-
-def _require_same_group(group: FiniteAbelianGroup, cocycle: CocycleTable) -> None:
-    if cocycle.group.orders != group.orders:
-        raise CocycleMismatch(
-            f"cocycle over group {cocycle.group.orders}, phi over {group.orders}"
-        )
 
 
 def build_mc(
@@ -122,7 +117,10 @@ def build_mq(
     indicates a cocycle inconsistent with phi and is raised, naming the pair.
     """
     arr = _require_conjugate_symmetric(group, phi, tol)
-    _require_same_group(group, cocycle)
+    if cocycle.group.orders != group.orders:
+        raise CocycleMismatch(
+            f"cocycle over group {cocycle.group.orders}, phi over {group.orders}"
+        )
     m = arr[group._diff] * cocycle.values[group._inv, :]
     deviation = np.abs(m - m.conj().T)
     worst = float(np.max(deviation))
@@ -171,18 +169,6 @@ def mq_spectrum(frame: ProjectiveFrame, phi, tol: Tolerance = DEFAULT_TOL) -> np
     return np.sort(np.concatenate([np.repeat(scaled, d), np.zeros(n - d * d)]))
 
 
-def _require_matching_cocycle(
-    cocycle: CocycleTable, verified: CocycleTable, tol: Tolerance
-) -> None:
-    """A supplied table must be the frame's own cocycle, within the band."""
-    _require_same_group(verified.group, cocycle)
-    residual = max_abs(cocycle.values - verified.values)
-    if not residual <= tol.band(1.0):
-        raise CocycleMismatch(
-            f"cocycle table differs from the frame's verified cocycle by {residual:.3e}"
-        )
-
-
 def _require_hermitian_twist(
     group: FiniteAbelianGroup, phi: np.ndarray, cocycle: CocycleTable, tol: Tolerance
 ) -> None:
@@ -204,7 +190,6 @@ def certify_state(
     rep: QuasiProbRepresentation,
     rho,
     tol: Tolerance = DEFAULT_TOL,
-    cocycle: CocycleTable | None = None,
 ) -> BochnerCertificate:
     """Certify a Hermitian trace-1 operator through its characteristic function.
 
@@ -214,20 +199,16 @@ def certify_state(
     quasi-probability values) are then computed independently and compared.
     ``boundary`` flags the rare case where the two routes land on opposite
     sides of a tolerance threshold. The frame's invariant pass is run once
-    and remembered; a supplied cocycle table must match the verified one
-    within the band, or CocycleMismatch is raised.
+    and remembered, and its verified cocycle is the only one used: the
+    theorem twists M_q by the frame's own cocycle.
     """
     group = rep.group
     phi = characteristic(rep, rho, tol)  # validates Hermiticity and shape
     trace = phi[0]
     if abs(trace - 1.0) > tol.band(1.0):
         raise NotNormalized(f"trace = {trace:.12g}, expected 1")
-    verified = _verified_cocycle(rep.frame, tol)
+    cocycle = _verified_cocycle(rep.frame, tol)
     mc_eigs = mc_spectrum(group, phi, tol)
-    if cocycle is None:
-        cocycle = verified
-    elif cocycle is not verified:
-        _require_matching_cocycle(cocycle, verified, tol)
     _require_hermitian_twist(group, phi, cocycle, tol)
     mc_psd, mc_min = psd_from_spectrum(mc_eigs, tol)
     mq_psd, mq_min = psd_from_spectrum(mq_spectrum(rep.frame, phi, tol), tol)
@@ -263,7 +244,6 @@ def certify_distribution(
     rep: QuasiProbRepresentation,
     mu,
     tol: Tolerance = DEFAULT_TOL,
-    cocycle: CocycleTable | None = None,
 ) -> BochnerCertificate:
     """Certify a distribution by reconstructing its operator first.
 
@@ -286,7 +266,7 @@ def certify_distribution(
     if abs(total - 1.0) > tol.band(1.0):
         raise NotNormalized(f"distribution sums to {total!r}, expected 1")
     rho_hat = reconstruct(rep, values)
-    cert = certify_state(rep, rho_hat, tol, cocycle=cocycle)
+    cert = certify_state(rep, rho_hat, tol)
     return replace(cert, input_mu_min=float(np.min(values)))
 
 

@@ -10,6 +10,10 @@ and machine-readable. Exit codes are a contract:
 3  certified: not a quantum state
 4  certified: valid state, negatively represented
 5  certified: boundary/indeterminate at the working tolerance
+
+Subcommands raise ``PhaseFrameError`` for every error and return a code only
+for a verdict; :func:`main` alone turns an error into ``error: ...`` on
+stderr and exit 1, or exit 2 for a frame file that fails verification.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import states as state_lib
 from .bochner import certify_distribution, certify_state, scan
-from .errors import FrameFileError, InvalidOrder, PhaseFrameError
+from .errors import FrameFileError, PhaseFrameError
 from .frames import (
     frame_report,
     leonhardt_frame,
@@ -54,24 +58,22 @@ EXIT_NEGATIVE = 4
 EXIT_BOUNDARY = 5
 
 
-def _fail(message: str, code: int = EXIT_USAGE) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _FrameInvalid(PhaseFrameError):
+    """A frame file that parses but fails verification (exit 2)."""
 
 
 def _load_verified_frame(path: str):
-    """Load and re-verify a frame file; returns ((frame, hash), 0) or (None, code).
+    """Load and re-verify a frame file; returns (frame, sha256).
 
-    Unreadable or malformed files are usage errors (exit 1); structurally
-    sound files whose operators violate a frame invariant exit 2.
+    Unreadable or malformed files raise FrameFileError (exit 1); structurally
+    sound files whose operators violate a frame invariant raise _FrameInvalid.
     """
     try:
-        loaded = load_frame(path, DEFAULT_TOL, with_sha256=True)
-    except FrameFileError as exc:
-        return None, _fail(str(exc))
+        return load_frame(path, DEFAULT_TOL, with_sha256=True)
+    except FrameFileError:
+        raise
     except PhaseFrameError as exc:
-        return None, _fail(f"frame verification failed: {exc}", EXIT_FRAME_INVALID)
-    return loaded, EXIT_OK
+        raise _FrameInvalid(f"frame verification failed: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -120,10 +122,7 @@ def _state_from_args(args, d: int) -> tuple[np.ndarray, dict]:
 
 
 def cmd_group(args) -> int:
-    try:
-        group = make_group(args.orders)
-    except InvalidOrder as exc:
-        return _fail(str(exc))
+    group = make_group(args.orders)
     table = character_table(group)
     n = group.size
     print(f"|G| = {n}")
@@ -159,34 +158,25 @@ def _parse_signs(text: str) -> tuple[int, int, int]:
 
 
 def cmd_frame_build(args) -> int:
-    try:
-        if args.kind == "weyl":
-            if args.d is None:
-                return _fail("frame build weyl requires --d")
-            frame = weyl_frame(args.d)
-        elif args.kind == "qubit":
-            signs = _parse_signs(args.signs) if args.signs else (1, 1, 1)
-            frame = qubit_frame(signs)
-        elif args.kind == "leonhardt":
-            if args.d is None:
-                return _fail("frame build leonhardt requires --d")
-            frame = leonhardt_frame(args.d)
-        elif args.kind == "z2cubed":
-            frame = z2cubed_frame()
-        elif args.kind == "tensor":
-            if not (args.a and args.b):
-                return _fail("frame build tensor requires --a and --b frame files")
-            loaded_a, code = _load_verified_frame(args.a)
-            if loaded_a is None:
-                return code
-            loaded_b, code = _load_verified_frame(args.b)
-            if loaded_b is None:
-                return code
-            frame = tensor_frame(loaded_a[0], loaded_b[0])
-        else:  # pragma: no cover - argparse restricts choices
-            return _fail(f"unknown frame kind {args.kind!r}")
-    except PhaseFrameError as exc:
-        return _fail(str(exc))
+    if args.kind == "weyl":
+        if args.d is None:
+            raise PhaseFrameError("frame build weyl requires --d")
+        frame = weyl_frame(args.d)
+    elif args.kind == "qubit":
+        signs = _parse_signs(args.signs) if args.signs else (1, 1, 1)
+        frame = qubit_frame(signs)
+    elif args.kind == "leonhardt":
+        if args.d is None:
+            raise PhaseFrameError("frame build leonhardt requires --d")
+        frame = leonhardt_frame(args.d)
+    elif args.kind == "tensor":
+        if not (args.a and args.b):
+            raise PhaseFrameError("frame build tensor requires --a and --b frame files")
+        frame_a, _ = _load_verified_frame(args.a)
+        frame_b, _ = _load_verified_frame(args.b)
+        frame = tensor_frame(frame_a, frame_b)
+    else:  # z2cubed; argparse restricts the choices
+        frame = z2cubed_frame()
 
     save_frame(frame, args.out)
     print(f"wrote {args.out}: kind={frame.metadata.get('kind')} dim={frame.dim} "
@@ -203,16 +193,10 @@ def cmd_frame_build(args) -> int:
 
 
 def cmd_represent(args) -> int:
-    loaded, code = _load_verified_frame(args.frame)
-    if loaded is None:
-        return code
-    frame, _ = loaded
-    try:
-        rho, _ = _state_from_args(args, frame.dim)
-        rep = build_representation(frame, DEFAULT_TOL)
-        mu = represent(rep, rho, DEFAULT_TOL)
-    except PhaseFrameError as exc:
-        return _fail(str(exc))
+    frame, _ = _load_verified_frame(args.frame)
+    rho, _ = _state_from_args(args, frame.dim)
+    rep = build_representation(frame, DEFAULT_TOL)
+    mu = represent(rep, rho, DEFAULT_TOL)
     Path(args.out).write_bytes(distribution_csv_bytes(frame.group, mu))
     print(f"wrote {args.out}: {frame.group.size} rows, total = {np.sum(mu):.12g}")
     if args.phi:
@@ -233,21 +217,15 @@ def _certificate_exit(cert) -> int:
 
 
 def cmd_certify(args) -> int:
-    loaded, code = _load_verified_frame(args.frame)
-    if loaded is None:
-        return code
-    frame, frame_hash = loaded
-    try:
-        rep = build_representation(frame, DEFAULT_TOL)
-        if args.distribution:
-            mu, digest = load_distribution_csv(args.distribution, frame.group, with_sha256=True)
-            cert = certify_distribution(rep, mu, DEFAULT_TOL)
-            state_ref = {"kind": "distribution", "value": str(args.distribution), "sha256": digest}
-        else:
-            rho, state_ref = _state_from_args(args, frame.dim)
-            cert = certify_state(rep, rho, DEFAULT_TOL)
-    except PhaseFrameError as exc:
-        return _fail(str(exc))
+    frame, frame_hash = _load_verified_frame(args.frame)
+    rep = build_representation(frame, DEFAULT_TOL)
+    if args.distribution:
+        mu, digest = load_distribution_csv(args.distribution, frame.group, with_sha256=True)
+        cert = certify_distribution(rep, mu, DEFAULT_TOL)
+        state_ref = {"kind": "distribution", "value": str(args.distribution), "sha256": digest}
+    else:
+        rho, state_ref = _state_from_args(args, frame.dim)
+        cert = certify_state(rep, rho, DEFAULT_TOL)
 
     if args.out:
         frame_ref = {"path": str(args.frame), "sha256": frame_hash}
@@ -279,25 +257,17 @@ def _scan_states(args, d: int):
         matrices = state_lib.random_pure_family(d, count, seed)
     elif family == "random-density":
         matrices = [state_lib.random_density(d, seed + i) for i in range(count)]
-    elif family == "random-herm":
+    else:  # random-herm; argparse restricts the choices
         matrices = [state_lib.random_hermitian_trace1(d, seed + i) for i in range(count)]
-    else:
-        raise PhaseFrameError(f"unknown state family {family!r}")
     labels = [f"{family}:{seed}:{i}" for i in range(count)]
     return matrices, labels
 
 
 def cmd_scan(args) -> int:
-    loaded, code = _load_verified_frame(args.frame)
-    if loaded is None:
-        return code
-    frame, _ = loaded
-    try:
-        matrices, labels = _scan_states(args, frame.dim)
-        rep = build_representation(frame, DEFAULT_TOL)
-        result = scan(rep, matrices, DEFAULT_TOL, labels=labels)
-    except PhaseFrameError as exc:
-        return _fail(str(exc))
+    frame, _ = _load_verified_frame(args.frame)
+    matrices, labels = _scan_states(args, frame.dim)
+    rep = build_representation(frame, DEFAULT_TOL)
+    result = scan(rep, matrices, DEFAULT_TOL, labels=labels)
 
     lines = ["index,label,min_mu,state_min_eig,is_quantum_state,is_positively_representable,boundary,error"]
     for row in result.rows:
@@ -392,7 +362,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PhaseFrameError as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FRAME_INVALID if isinstance(exc, _FrameInvalid) else EXIT_USAGE
 
 
 def entrypoint() -> None:

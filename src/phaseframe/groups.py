@@ -195,6 +195,11 @@ class ClassicalBochnerResult:
     symmetry_residual: float
 
 
+def _symmetry_residual(group: FiniteAbelianGroup, arr: np.ndarray) -> float:
+    """max |f(g^-1) - conj(f(g))| over the group; 0 for a conjugate-symmetric f."""
+    return float(np.max(np.abs(arr[group._inv] - arr.conj())))
+
+
 def classical_bochner_check(
     group: FiniteAbelianGroup, phi, tol: Tolerance = DEFAULT_TOL
 ) -> ClassicalBochnerResult:
@@ -210,7 +215,7 @@ def classical_bochner_check(
     scale = max_abs(arr)
     band = tol.band(scale)
 
-    symmetry_residual = float(np.max(np.abs(arr[group._inv] - arr.conj()))) if arr.size else 0.0
+    symmetry_residual = _symmetry_residual(group, arr)
     identity_residual = abs(arr[0] - 1.0)
     symmetric = symmetry_residual <= band
     normalized = identity_residual <= tol.band(1.0)

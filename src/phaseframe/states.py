@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from .errors import IndexOutOfRange, InternalInconsistency, InvalidDimension, NotOddPrime
-from .linalg import max_abs
 from .representation import gross_wigner_pure
 
 __all__ = [
@@ -92,12 +91,13 @@ def stabilizer_states(d: int) -> list[np.ndarray]:
                 "stabilizer candidate has a negative Wigner value"
             )
         projectors.append(np.outer(v, v.conj()))
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            if max_abs(projectors[i] - projectors[j]) < 1e-6:
-                raise InternalInconsistency(
-                    f"stabilizer states {i} and {j} coincide as projectors"
-                )
+    stack = np.stack(projectors)
+    for i in range(len(stack) - 1):
+        (close,) = np.nonzero(np.abs(stack[i + 1:] - stack[i]).max(axis=(1, 2)) < 1e-6)
+        if close.size:
+            raise InternalInconsistency(
+                f"stabilizer states {i} and {i + 1 + close[0]} coincide as projectors"
+            )
     return projectors
 
 

@@ -254,7 +254,6 @@ def test_certify_distribution_fails_loudly_on_inconsistent_input(z2cubed_rep):
 def test_verdicts_match_direct_oracles(builder):
     frame = builder()
     rep = pf.build_representation(frame)
-    cocycle = pf.cocycle_table(frame)
     d = frame.dim
     for i in range(50):
         rho = (
@@ -262,7 +261,7 @@ def test_verdicts_match_direct_oracles(builder):
             if i % 2
             else pf.random_density(d, 8000 + i)
         )
-        cert = pf.certify_state(rep, rho, cocycle=cocycle)
+        cert = pf.certify_state(rep, rho)
         assert cert.oracle_agreement_state, (i, cert.state_min_eig, cert.mq_min_eig)
         assert cert.oracle_agreement_positivity, (i, cert.min_mu, cert.mc_min_eig)
         assert not cert.boundary

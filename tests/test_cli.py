@@ -223,16 +223,63 @@ def test_certify_bad_state_spec(frame_files, capsys):
     ]) == 1
 
 
-def test_certify_corrupted_frame_exit_two(tmp_path, capsys):
+def _corrupted_qubit_frame(tmp_path):
+    """A good qubit frame file and a copy with one non-unitary operator."""
     good = tmp_path / "good.json"
     assert main(["frame", "build", "qubit", "--out", str(good)]) == 0
     data = json.loads(good.read_text())
     data["elements"][2]["matrix"][0][0] = [3.0, 1.0]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
+    return good, bad
+
+
+CORRUPTED_FRAME_ERR = ("error: frame verification failed: operator not unitary: "
+                       "residual 1.000e+01 exceeds 2.000e-09\n")
+
+
+def test_certify_corrupted_frame_exit_two(tmp_path, capsys):
+    _, bad = _corrupted_qubit_frame(tmp_path)
+    capsys.readouterr()
     code = main(["certify", "--frame", str(bad), "--state", "mixed"])
     assert code == 2
-    assert "verification failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == CORRUPTED_FRAME_ERR
+
+
+@pytest.mark.parametrize("argv", [
+    ["represent", "--frame", "{bad}", "--state", "mixed", "--out", "{out}"],
+    ["scan", "--frame", "{bad}", "--family", "random-pure", "--count", "2", "--out", "{out}"],
+    ["frame", "build", "tensor", "--a", "{bad}", "--b", "{good}", "--out", "{out}"],
+    ["frame", "build", "tensor", "--a", "{good}", "--b", "{bad}", "--out", "{out}"],
+], ids=["represent", "scan", "tensor-a", "tensor-b"])
+def test_every_frame_reader_exits_two_on_a_corrupted_frame(tmp_path, capsys, argv):
+    good, bad = _corrupted_qubit_frame(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([a.format(good=good, bad=bad, out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", CORRUPTED_FRAME_ERR)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["weyl"], "frame build weyl requires --d"),
+    (["leonhardt"], "frame build leonhardt requires --d"),
+    (["tensor"], "frame build tensor requires --a and --b frame files"),
+    (["tensor", "--a", "{qubit}"], "frame build tensor requires --a and --b frame files"),
+    (["tensor", "--b", "{qubit}"], "frame build tensor requires --a and --b frame files"),
+    (["qubit", "--signs", "+,+"],
+     "--signs expects three comma-separated +/- entries, got '+,+'"),
+], ids=["weyl-no-d", "leonhardt-no-d", "tensor-no-files", "tensor-no-b", "tensor-no-a",
+        "two-signs"])
+def test_frame_build_argument_errors_exit_one(tmp_path, frame_files, capsys, argv, message):
+    out = tmp_path / "frame.json"
+    args = [a.format(qubit=frame_files["qubit"]) for a in argv]
+    capsys.readouterr()
+    assert main(["frame", "build", *args, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_scan_stabilizers(tmp_path, frame_files, capsys):

@@ -149,30 +149,7 @@ def test_routes_agree_and_survive_unitary_conjugation(name, kind, seed):
 
 
 # --------------------------------------------------------------------------
-# what the closed form reads: the verified frame, not a supplied table
-
-
-def test_a_foreign_cocycle_table_is_rejected(weyl3_rep):
-    # The trivial table makes M_q = M_c, which is Hermitian: the dense route
-    # would certify with it silently.
-    trivial = CocycleTable(group=weyl3_rep.group, values=np.ones((9, 9), dtype=complex))
-    with pytest.raises(CocycleMismatch, match="verified cocycle"):
-        pf.certify_state(weyl3_rep, pf.maximally_mixed(3), cocycle=trivial)
-
-
-def test_a_copy_of_the_verified_cocycle_is_accepted(weyl3_rep):
-    verified = pf.cocycle_table(weyl3_rep.frame)
-    copy = CocycleTable(group=verified.group, values=np.array(verified.values))
-    rho = pf.random_density(3, 11)
-    cert = pf.certify_state(weyl3_rep, rho, cocycle=copy)
-    assert cert.mq_min_eig == pf.certify_state(weyl3_rep, rho).mq_min_eig
-
-
-def test_a_cocycle_over_another_group_is_rejected(weyl3_rep, qubit_ppp):
-    with pytest.raises(CocycleMismatch, match="cocycle over group"):
-        pf.certify_state(
-            weyl3_rep, pf.maximally_mixed(3), cocycle=pf.cocycle_table(qubit_ppp)
-        )
+# what the closed form reads: the verified frame
 
 
 def _unverified_rep(rep, operators):
@@ -185,9 +162,8 @@ def test_an_unverified_non_projective_frame_fails(weyl3_rep):
     ops = list(weyl3_rep.frame.operators)
     ops[1] = ops[1] @ np.diag([1.0, 1.0, -1.0])  # still unitary, no longer projective
     rep = _unverified_rep(weyl3_rep, tuple(ops))
-    cocycle = pf.cocycle_table(weyl3_rep.frame)
     with pytest.raises(NotProjective):
-        pf.certify_state(rep, pf.maximally_mixed(3), cocycle=cocycle)
+        pf.certify_state(rep, pf.maximally_mixed(3))
 
 
 def test_an_unverified_non_spanning_frame_fails(qubit_rep):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import phaseframe as pf
-from phaseframe.errors import IndexOutOfRange, InvalidDimension, NotOddPrime
+from phaseframe import states as state_lib
+from phaseframe.errors import (
+    IndexOutOfRange,
+    InternalInconsistency,
+    InvalidDimension,
+    NotOddPrime,
+)
 
 
 def test_basis_state_examples():
@@ -68,6 +74,22 @@ def test_stabilizer_states_distinct():
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             assert np.max(np.abs(states[i] - states[j])) > 1e-3
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_stabilizer_duplicate_guard_names_the_first_pair(monkeypatch, d):
+    original = state_lib.quadratic_phase_vector
+
+    def repeating(d, a, b):
+        if (a, b) == (1, 1):
+            return 1j * np.eye(d)[:, 0]  # basis state 0, up to a phase
+        return original(d, 0, b)  # ignores a, so (1, b) repeats (0, b)
+
+    monkeypatch.setattr(state_lib, "quadratic_phase_vector", repeating)
+    # Both (d, 2d) and (0, 2d + 1) coincide; the pair with the smaller first index is named.
+    with pytest.raises(InternalInconsistency,
+                       match=rf"^stabilizer states 0 and {2 * d + 1} coincide as projectors$"):
+        pf.stabilizer_states(d)
 
 
 def test_stabilizer_rejects_non_prime():
