@@ -16,6 +16,7 @@ frames: the doubled phase space for even dimension and the Z2^3 example.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping, NamedTuple
@@ -77,17 +78,22 @@ class ProjectiveFrame:
     _verified: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ops = tuple(as_matrix(op) for op in self.operators)
-        if len(ops) != self.group.size:
+        try:  # one coercion for a regular collection
+            stack = np.array(self.operators, dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError):
+            stack = None
+        if stack is None or stack.ndim != 3 or not stack.size or not np.isfinite(stack).all():
+            stack = [as_matrix(op) for op in self.operators]  # the first bad operator raises
+        if len(stack) != self.group.size:
             raise GroupMismatch(
-                f"{len(ops)} operators for a group of size {self.group.size}"
+                f"{len(stack)} operators for a group of size {self.group.size}"
             )
-        for op in ops:
+        for op in stack:
             if op.shape != (self.dim, self.dim):
                 raise DimensionMismatch(
                     f"operator shape {op.shape} does not match dim {self.dim}"
                 )
-        stack = np.stack(ops)
+        stack = np.asarray(stack)
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
@@ -137,18 +143,16 @@ class CocycleTable:
 # elementary building blocks
 
 
-def _shift_matrix(d: int, j: int) -> np.ndarray:
-    """j-th power of the cyclic shift |k> -> |k+1 mod d>, built exactly."""
-    m = np.zeros((d, d), dtype=np.complex128)
-    cols = np.arange(d)
-    m[(cols + j) % d, cols] = 1.0
-    return m
-
-
-def _clock_matrix(d: int, l: int) -> np.ndarray:
-    """l-th power of the clock matrix diag(omega^k), omega = exp(-2 pi i / d)."""
-    roots = np.exp(-2j * np.pi * np.arange(d) / d)
-    return np.diag(roots[(np.arange(d) * l) % d])
+def _shift_clock(d: int, shifts, clocks) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of X^j and Z^l for paired powers j, l, built exactly: X^j is the
+    shift |k> -> |k+j mod d>, Z^l = diag(omega^(k l)) with omega = exp(-2 pi i / d)."""
+    j, l = np.asarray(shifts)[:, None], np.asarray(clocks)[:, None]
+    n, cols = len(j), np.arange(d)
+    shift = np.zeros((n, d, d), dtype=np.complex128)
+    shift[np.arange(n)[:, None], (cols + j) % d, cols] = 1.0
+    clock = np.zeros((n, d, d), dtype=np.complex128)
+    clock[:, cols, cols] = np.exp(-2j * np.pi * cols / d)[(cols * l) % d]
+    return shift, clock
 
 
 def gen_pauli(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +164,8 @@ def gen_pauli(d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if int(d) != d or d < 2:
         raise InvalidDimension(f"generalized Pauli matrices need integer d >= 2, got {d}")
-    return _shift_matrix(d, 1), _clock_matrix(d, 1)
+    shift, clock = _shift_clock(d, [1], [1])
+    return shift[0], clock[0]
 
 
 # --------------------------------------------------------------------------
@@ -235,57 +240,39 @@ def _dense_cocycle(group: FiniteAbelianGroup, stack: np.ndarray) -> tuple[np.nda
     return values, float(worst.max())
 
 
-def _cocycle_identity_residual(group: FiniteAbelianGroup, values: np.ndarray) -> float:
-    """Proven upper bound on the worst |delta(a, b, c)| over all triples, from k rows.
+def _cocycle_identity_residual(d: int, projectivity: float, modulus: float,
+                               unitarity: float) -> float:
+    """Proven upper bound on the worst |delta(a, b, c)| over all triples, in O(1).
 
     delta(a, b, c) = alpha(a,b) alpha(ab,c) - alpha(b,c) alpha(a,bc) is the
-    defect of the 2-cocycle identity. For any table alpha, a = s a' and every
-    b, c, expanding the right side (all other products cancel in pairs) gives
+    defect of the 2-cocycle identity. With R(a, b) = P_a P_b - alpha(a,b) P_ab,
+    expanding both sides of (P_a P_b) P_c = P_a (P_b P_c) gives
 
-        alpha(s,a') delta(a,b,c) = alpha(s,a'bc) delta(a',b,c) + alpha(a',b) delta(s,a'b,c)
-                                   + delta(s,a',b) alpha(ab,c) - delta(s,a',bc) alpha(b,c).
+        delta(a,b,c) P_abc = alpha(b,c) R(a,bc) + P_a R(b,c) - alpha(a,b) R(ab,c) - R(a,b) P_c.
 
-    Take s among the canonical generators e_1..e_k of Z_n1 x ... x Z_nk and
-    let D_l bound |delta(a, ., .)| over the a whose residues sum to l, so
-    0 <= l <= L = sum(n_i - 1). With m = max ||alpha| - 1| < 1,
-    u = max_g |alpha(e, g) - 1|, rho = (1 + m) / (1 - m) and delta_S the worst
-    |delta(s, b, c)| over the generator rows:
+    The largest entry of any R is E = ``projectivity``, so ||R||_F <= d E;
+    |alpha| <= 1 + m with m = ``modulus``; the largest entry of any P^dag P - I
+    is u = ``unitarity``, so ||P||_2^2 <= 1 + ||P^dag P - I||_F <= 1 + d u and
+    ||P||_F^2 = Tr P^dag P >= d (1 - u). Frobenius norms of both sides, with
+    ||X Y||_F <= ||X||_2 ||Y||_F, give every triple
 
-    * D_0 = 2 (1 + m) u bounds delta(e,b,c) = alpha(b,c) (alpha(e,b) - alpha(e,bc));
-    * an a with l >= 1 has some residue a_i >= 1, so a' = a e_i^-1 has l - 1;
-      dividing the identity by |alpha(s,a')| >= 1 - m gives
-      D_l = rho (D_(l-1) + 3 delta_S).
+        |delta| <= 2 sqrt(d) E (1 + m + sqrt(1 + d u)) / sqrt(1 - u),
 
-    So |delta| <= 2 (1 + m) rho^L u + 3 delta_S (rho + ... + rho^L) on every
-    triple, since the bound does not decrease with l; that value is returned
-    (inf when m >= 1). It is 0 when delta_S = u = 0, so a table that is exact
-    on the generator rows is a 2-cocycle. The generator rows cost O(k |G|^2)
-    time, one row at a time in O(|G|^2) memory; the trivial group has none.
-
-    The bound is at least 3 L delta_S, and the worst defect over all triples
-    can be as small as delta_S. So a table whose every triple lies inside the
-    band can still fail once its worst defect is above band / (3 L rho^L):
+    which is returned (inf when u >= 1; NaN stays NaN). The factor on E, about
+    4 sqrt(d), does not grow with the group, but a frame whose every triple
+    lies inside the band still fails once E exceeds about band / (4 sqrt(d)):
     e.g. a Weyl d = 5 frame with entries rounded to 9 decimals.
     """
-    mul = group._mul
-    modulus = max_abs(np.abs(values) - 1.0)
-    if modulus >= 1.0:
+    if unitarity >= 1.0:
         return float("inf")
-    rho = (1.0 + modulus) / (1.0 - modulus)
-    defect = 0.0  # delta_S
-    for unit in np.eye(len(group.orders), dtype=np.int64):
-        s = group.index(unit)  # e_i
-        lhs = values[s][:, None] * values[mul[s]]  # [b, c] = alpha(s, b) alpha(sb, c)
-        rhs = values * values[s][mul]  # [b, c] = alpha(b, c) alpha(s, bc)
-        defect = max(defect, max_abs(lhs - rhs))
-    bound = 2.0 * (1.0 + modulus) * max_abs(values[0] - 1.0)  # D_0
-    for _ in range(sum(n - 1 for n in group.orders)):  # D_1 .. D_L
-        bound = rho * (bound + 3.0 * defect)
-    return bound
+    growth = 1.0 + modulus + math.sqrt(1.0 + d * unitarity)
+    return 2.0 * math.sqrt(d) * projectivity * growth / math.sqrt(1.0 - unitarity)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _invariant_pass(frame: ProjectiveFrame, tol: Tolerance) -> _Invariants:
-    """Derive the cocycle and every named invariant residual of ``frame``."""
+    """Derive the cocycle and every named invariant residual of ``frame``. Entries too
+    large to square overflow to inf or NaN residuals, which fail their checks."""
     group, stack, d = frame.group, frame._stack, frame.dim
     n = group.size
     inv = group._inv
@@ -295,16 +282,18 @@ def _invariant_pass(frame: ProjectiveFrame, tol: Tolerance) -> _Invariants:
     values, projectivity = _extract_cocycle(group, stack)
     svals = np.linalg.svd(stack.reshape(n, d * d), compute_uv=False)
     rank = int(np.sum(svals > tol.band(float(svals[0]))))
+    unitarity = max_abs(adjoints @ stack - eye)
+    modulus = max_abs(np.abs(values) - 1.0)
     residuals = {
-        "unitarity": max_abs(adjoints @ stack - eye),
+        "unitarity": unitarity,
         "identity_at_origin": max_abs(stack[0] - eye),
         "inverse_convention": max_abs(adjoints - stack[inv]),
         "projectivity": projectivity,
-        "cocycle_modulus": max_abs(np.abs(values) - 1.0),
+        "cocycle_modulus": modulus,
         "cocycle_left_unit": max_abs(values[0, :] - 1.0),
         "cocycle_right_unit": max_abs(values[:, 0] - 1.0),
         "cocycle_inverse_pairs": max_abs(values[np.arange(n), inv] - 1.0),
-        "cocycle_identity": _cocycle_identity_residual(group, values),
+        "cocycle_identity": _cocycle_identity_residual(d, projectivity, modulus, unitarity),
     }
     table = {name: (r, band) for name, r in residuals.items()}
     table["spanning"] = (d * d - rank, 0)  # matrix dimensions left unspanned
@@ -359,13 +348,11 @@ def weyl_frame(d: int, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
     group = make_group([d, d])
     s = (d + 1) // 2
     roots = np.exp(-2j * np.pi * np.arange(d) / d)
-    ops = tuple(
-        roots[(s * j * l) % d] * (_shift_matrix(d, j) @ _clock_matrix(d, l))
-        for (j, l) in group.elements
-    )
+    j, l = group._residues.T
+    shift, clock = _shift_clock(d, j, l)
     frame = ProjectiveFrame(
         group=group,
-        operators=ops,
+        operators=roots[(s * j * l) % d, None, None] * (shift @ clock),
         dim=d,
         metadata={"kind": "weyl", "parameters": {"d": int(d)}},
     )
@@ -373,9 +360,9 @@ def weyl_frame(d: int, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
     return frame
 
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+# I, X, Z, Y: the Pauli X^x Z^z up to phase sits at index x + 2 z.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, -1j], [1j, 0]]],
+                   dtype=np.complex128)
 
 
 def qubit_frame(signs=(1, 1, 1), tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
@@ -393,16 +380,11 @@ def qubit_frame(signs=(1, 1, 1), tol: Tolerance = DEFAULT_TOL) -> ProjectiveFram
         if s not in (1, -1):
             raise InvalidDimension(f"signs must be +1 or -1, got {signs!r}")
     group = make_group([2, 2])
-    by_element = {
-        (0, 0): np.eye(2, dtype=np.complex128),
-        (1, 0): sx * _PAULI_X,
-        (0, 1): sz * _PAULI_Z,
-        (1, 1): sy * _PAULI_Y,
-    }
+    pauli = group._residues @ [1, 2]  # element (x, z)
     parity = sx * sz * sy
     frame = ProjectiveFrame(
         group=group,
-        operators=tuple(by_element[g] for g in group.elements),
+        operators=np.array([1, sx, sz, sy])[pauli, None, None] * _PAULIS[pauli],
         dim=2,
         metadata={"kind": "qubit", "parameters": {"signs": [sx, sz, sy], "parity": parity}},
     )
@@ -429,13 +411,14 @@ def tensor_frame(
     to P_g (x) Q_h, and the cocycle is the product of the factor cocycles.
     """
     group = FiniteAbelianGroup(a.group.orders + b.group.orders)
-    ops = tuple(
-        np.kron(op_a, op_b) for op_a in a.operators for op_b in b.operators
-    )
+    dim = a.dim * b.dim
+    # [g, h, i, k, j, l] = P_g[i, j] Q_h[k, l]: np.kron's products, no sums (which would
+    # turn -0.0 into +0.0 and change frame files)
+    ops = a.stack()[:, None, :, None, :, None] * b.stack()[None, :, None, :, None, :]
     frame = ProjectiveFrame(
         group=group,
-        operators=ops,
-        dim=a.dim * b.dim,
+        operators=ops.reshape(group.size, dim, dim),
+        dim=dim,
         metadata={
             "kind": "tensor",
             "parameters": {"factors": [dict(a.metadata), dict(b.metadata)]},
@@ -453,16 +436,9 @@ def z2cubed_frame(tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
     {(0,0,0), (1,0,0)} and the frame is a doubly redundant Pauli basis.
     """
     group = make_group([2, 2, 2])
-    by_tail = {
-        (0, 0): np.eye(2, dtype=np.complex128),
-        (0, 1): _PAULI_X,
-        (1, 0): _PAULI_Z,
-        (1, 1): _PAULI_Y,
-    }
-    ops = tuple(by_tail[(g[1], g[2])] for g in group.elements)
     frame = ProjectiveFrame(
         group=group,
-        operators=ops,
+        operators=_PAULIS[group._residues @ [0, 2, 1]],  # element (k, z, x)
         dim=2,
         metadata={"kind": "z2cubed", "parameters": {}},
     )
@@ -483,13 +459,11 @@ def leonhardt_frame(d: int, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
         raise InvalidDimension(f"need integer d >= 2, got {d}")
     group = make_group([2 * d, 2 * d])
     tau = np.exp(-1j * np.pi * np.arange(2 * d) / d)
-    ops = tuple(
-        tau[(j * l) % (2 * d)] * (_shift_matrix(d, j % d) @ _clock_matrix(d, l % d))
-        for (j, l) in group.elements
-    )
+    j, l = group._residues.T
+    shift, clock = _shift_clock(d, j % d, l % d)
     frame = ProjectiveFrame(
         group=group,
-        operators=ops,
+        operators=tau[(j * l) % (2 * d), None, None] * (shift @ clock),
         dim=d,
         metadata={"kind": "leonhardt", "parameters": {"d": int(d)}},
     )
@@ -515,20 +489,12 @@ def phase_fix(
     ops = tuple(as_matrix(op) for op in operators)
     raw = ProjectiveFrame(group=group, operators=ops, dim=len(ops[0]) if ops else 0)
     found = _check(raw, tol, ("unitarity", "identity_at_origin", "projectivity"))
-    values = found.cocycle.values
-
-    inv = group._inv
-    mu = np.ones(group.size, dtype=np.complex128)
-    for a in range(group.size):
-        b = int(inv[a])
-        alpha_pair = values[a, b]  # alpha(g, g^-1)
-        if a < b:
-            mu[b] = alpha_pair.conj()
-        elif a == b and a != 0:
-            mu[a] = np.sqrt(alpha_pair.conj())
+    inv, index = group._inv, np.arange(group.size)
+    pair = found.cocycle.values[inv, index].conj()  # at g: conj alpha(g^-1, g)
+    mu = np.where(inv < index, pair, np.where((inv == index) & (index > 0), np.sqrt(pair), 1.0))
     frame = ProjectiveFrame(
         group=group,
-        operators=tuple(mu[:, None, None] * raw.stack()),
+        operators=mu[:, None, None] * raw.stack(),
         dim=raw.dim,
         metadata=dict(metadata) if metadata is not None else {"kind": "phase_fixed", "parameters": {}},
     )
@@ -568,21 +534,12 @@ def cocycle_table(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> Cocyc
 def kernel(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """Group elements mapped to a unit scalar times the identity, as a verified subgroup."""
     band = tol.band(1.0)
-    d = frame.dim
-    eye = np.eye(d)
-    members: list[int] = []
-    for idx, op in enumerate(frame.operators):
-        c = np.trace(op) / d
-        if abs(abs(c) - 1.0) <= band and max_abs(op - c * eye) <= band:
-            members.append(idx)
-    member_set = set(members)
-    mul = frame.group._mul
-    for a in members:
-        for b in members:
-            if int(mul[a, b]) not in member_set:
-                raise InternalInconsistency(
-                    "kernel candidates are not closed under composition"
-                )
+    stack, d = frame.stack(), frame.dim
+    c = np.trace(stack, axis1=1, axis2=2) / d
+    scalar = np.abs(stack - c[:, None, None] * np.eye(d)).max(axis=(1, 2)) <= band
+    members = np.flatnonzero((abs(abs(c) - 1.0) <= band) & scalar)
+    if not np.isin(frame.group._mul[np.ix_(members, members)], members).all():
+        raise InternalInconsistency("kernel candidates are not closed under composition")
     return [frame.group.elements[i] for i in members]
 
 

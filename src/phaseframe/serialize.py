@@ -69,6 +69,16 @@ def parse_element(text: str) -> tuple[int, ...]:
         raise FrameFileError(f"malformed element tuple {text!r}") from exc
 
 
+def _json_int(value) -> int:
+    """An integer field read from a file. What ``int()`` rejects raises as ``int()``
+    does; anything else but a JSON integer (a float, a bool, a numeric string) raises
+    ValueError rather than being truncated or converted."""
+    number = int(value)
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return number
+
+
 def matrix_to_json(m: np.ndarray) -> list:
     arr = np.asarray(m, dtype=np.complex128)
     return np.stack([arr.real, arr.imag], -1).tolist()
@@ -110,17 +120,16 @@ def frame_from_json(data, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
         raise FrameFileError("frame file must contain a JSON object")
     try:
         orders = data["group"]["orders"]
-        dim = int(data["dim"])
+        dim = _json_int(data["dim"])
         entries = data["elements"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FrameFileError(f"frame file missing required field: {exc}") from exc
-    if int(data.get("schema_version", -1)) != SCHEMA_VERSION:
-        raise FrameFileError(
-            f"unsupported schema_version {data.get('schema_version')!r}"
-        )
+    version = data.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise FrameFileError(f"unsupported schema_version {version!r}")
     try:
-        orders = _checked_orders(orders)
-    except (TypeError, ValueError) as exc:
+        orders = _checked_orders([_json_int(n) for n in orders])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FrameFileError(f"malformed group orders {orders!r}: {exc}") from exc
     size = math.prod(orders)
     if not isinstance(entries, list) or len(entries) != size:
@@ -132,16 +141,18 @@ def frame_from_json(data, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
     try:  # one parse of all payloads; an irregular file takes the per-entry checks below
         cells = np.asarray([entry["matrix"] for entry in entries], dtype=float)
         regular = cells.shape == (size, dim, dim, 2) and np.isfinite(cells).all() and all(
-            tuple(entry["g"]) == g for entry, g in zip(entries, group.elements))
+            tuple(map(_json_int, entry["g"])) == g for entry, g in zip(entries, group.elements))
     except (KeyError, TypeError, ValueError, OverflowError):
         regular = False
     operators = cells[..., 0] + 1j * cells[..., 1] if regular else []
     for pos, entry in enumerate(() if regular else entries):
         try:
-            g = tuple(int(r) for r in entry["g"])
+            g = tuple(_json_int(r) for r in entry["g"])
             payload = entry["matrix"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FrameFileError(f"malformed element entry at position {pos}: {exc}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            missing = "missing key " if isinstance(exc, KeyError) else ""
+            raise FrameFileError(
+                f"malformed element entry at position {pos}: {missing}{exc}") from exc
         if g != group.elements[pos]:
             raise FrameFileError(
                 f"element {g} at position {pos} breaks lexicographic order "
@@ -193,7 +204,11 @@ def _render(value, pad: str) -> str:
 
 def save_json(path, obj) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2)`` + newline, ndarrays as lists."""
-    Path(path).write_text(_render(obj, "") + "\n", encoding="utf-8")
+    try:
+        text = _render(obj, "")
+    except RecursionError as exc:  # e.g. frame metadata read just inside the parser's depth limit
+        raise FrameFileError(f"cannot write {path}: nested too deeply to encode") from exc
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def save_frame(frame: ProjectiveFrame, path) -> None:
@@ -217,8 +232,10 @@ def _read_json(path, what: str) -> tuple[object, bytes]:
     text, raw = _read_text(path, what)
     try:
         return json.loads(text), raw
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal above the digit limit
         raise FrameFileError(f"{what} file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FrameFileError(f"{what} file is nested too deeply to parse") from exc
 
 
 def _with_digest(value, raw: bytes, with_sha256: bool):
@@ -245,9 +262,9 @@ def state_from_json(data) -> np.ndarray:
     if not isinstance(data, dict):
         raise FrameFileError("state file must contain a JSON object")
     try:
-        dim = int(data["dim"])
+        dim = _json_int(data["dim"])
         payload = data["matrix"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FrameFileError(f"state file missing required field: {exc}") from exc
     arr = matrix_from_json(payload)
     if arr.shape != (dim, dim):
@@ -289,7 +306,10 @@ def load_distribution_csv(path, group: FiniteAbelianGroup, *, with_sha256: bool 
     """Read a distribution CSV back, enforcing the exact dual index order; with
     ``with_sha256``, return ``(values, digest)`` of the bytes that were parsed."""
     text, raw = _read_text(path, "distribution")
-    rows = list(csv.reader(text.splitlines()))
+    try:
+        rows = list(csv.reader(text.splitlines()))
+    except csv.Error as exc:  # e.g. a field above the csv module's size limit
+        raise FrameFileError(f"distribution file is not valid CSV: {exc}") from exc
     if not rows or rows[0] != ["index_tuple", "mu"]:
         raise FrameFileError("distribution CSV must start with header 'index_tuple,mu'")
     body = rows[1:]

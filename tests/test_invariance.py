@@ -1,0 +1,98 @@
+"""Verdicts that do not depend on how a frame is presented: tensoring with the
+trivial frame, rephasing by a character, and rephasing by unit scalars that
+``phase_fix`` then repairs."""
+
+import functools
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import phaseframe as pf
+from phaseframe import serialize
+
+FRAMES = {
+    "weyl3": lambda: pf.weyl_frame(3),
+    "weyl5": lambda: pf.weyl_frame(5),
+    "leonhardt2": lambda: pf.leonhardt_frame(2),
+    "qubit_ppm": lambda: pf.qubit_frame((1, 1, -1)),
+    "z2cubed": pf.z2cubed_frame,
+    "tensor_qq": lambda: pf.tensor_frame(pf.qubit_frame(), pf.qubit_frame()),
+}
+STATES = {
+    "mixed": lambda d, seed: pf.maximally_mixed(d),
+    "basis": lambda d, seed: pf.basis_state(d, seed % d),
+    "random-pure": pf.random_pure,
+    "random-density": pf.random_density,
+    "random-herm": pf.random_hermitian_trace1,  # usually not a state
+}
+
+
+@functools.cache
+def frame(name):
+    return FRAMES[name]()
+
+
+def certify(frame, rho):
+    return pf.certify_state(pf.build_representation(frame), rho)
+
+
+@pytest.mark.parametrize("name", FRAMES)
+def test_tensoring_with_the_trivial_frame_changes_nothing(name, tmp_path):
+    base = frame(name)
+    serialize.save_frame(base, tmp_path / "base.json")
+    for side, product in (("left", pf.tensor_frame(pf.trivial_frame(), base)),
+                          ("right", pf.tensor_frame(base, pf.trivial_frame()))):
+        assert product.group.orders == base.group.orders
+        # The product records its factors in its metadata; everything else is the same
+        # file, number for number. Not byte for byte: (1 + 0j) * z can flip the sign of a
+        # zero part of z, and the writer keeps -0.0.
+        relabeled = pf.ProjectiveFrame(group=product.group, operators=product.stack(),
+                                       dim=product.dim, metadata=base.metadata)
+        serialize.save_frame(relabeled, tmp_path / f"{side}.json")
+        assert (json.loads((tmp_path / f"{side}.json").read_text())
+                == json.loads((tmp_path / "base.json").read_text()))
+        for state, make in STATES.items():
+            rho = make(base.dim, 3)
+            certificates = [json.dumps(serialize.certificate_to_json(certify(f, rho), {}, {}))
+                            for f in (base, product)]
+            assert certificates[0] == certificates[1], (side, state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(FRAMES)), state=st.sampled_from(sorted(STATES)),
+       k=st.integers(0, 63), seed=st.integers(0, 2**16))
+def test_rephasing_by_a_character_shifts_mu(name, state, k, seed):
+    base = frame(name)
+    group = base.group
+    k %= group.size
+    chi = pf.character_table(group)[k]
+    twisted = pf.ProjectiveFrame(group=group, operators=chi[:, None, None] * base.stack(),
+                                 dim=base.dim)
+    rho = STATES[state](base.dim, seed)
+    before, after = certify(base, rho), certify(twisted, rho)
+    # F'_j = (1/|G|) sum_g chi_j(g) chi_k(g) P_g = F_{jk}, so mu'(j) = mu(jk).
+    np.testing.assert_allclose(after.mu, before.mu[group._mul[:, k]], rtol=0, atol=1e-12)
+    for field in ("is_quantum_state", "is_positively_representable", "boundary"):
+        assert getattr(after, field) == getattr(before, field), field
+    for field in ("min_mu", "mc_min_eig", "mq_min_eig"):
+        assert abs(getattr(after, field) - getattr(before, field)) <= 1e-12, field
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(FRAMES)), state=st.sampled_from(sorted(STATES)),
+       seed=st.integers(0, 2**16))
+def test_rephasing_by_unit_scalars_then_phase_fix_keeps_the_quantum_verdict(name, state, seed):
+    base = frame(name)
+    rng = np.random.default_rng(seed)
+    scalars = np.exp(2j * np.pi * rng.uniform(size=base.group.size))
+    scalars[0] = 1.0  # P_e stays the identity
+    fixed = pf.phase_fix(base.group, scalars[:, None, None] * base.stack())
+    rho = STATES[state](base.dim, seed)
+    before, after = certify(base, rho), certify(fixed, rho)
+    # The distribution may legitimately change sign; the state's verdict may not.
+    assert after.is_quantum_state == before.is_quantum_state
+    assert abs(after.mq_min_eig - before.mq_min_eig) <= 1e-12
+    assert abs(after.state_min_eig - before.state_min_eig) <= 1e-12

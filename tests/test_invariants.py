@@ -18,15 +18,15 @@ BUILTIN = ["weyl3", "weyl5", "qubit_ppp", "qubit_ppm", "tensor_qq", "leonhardt2"
 
 
 @functools.cache
-def builtin_cocycle(name):
-    """(group, verified cocycle values) of a small built-in frame, built once."""
+def builtin_stack(name):
+    """(group, operator stack) of a small built-in frame, built once."""
     frame = {
         "weyl3": lambda: pf.weyl_frame(3),
         "leonhardt2": lambda: pf.leonhardt_frame(2),
         "z2cubed": pf.z2cubed_frame,
         "tensor_qq": lambda: pf.tensor_frame(pf.qubit_frame(), pf.qubit_frame()),
     }[name]()
-    return frame.group, pf.cocycle_table(frame).values
+    return frame.group, frame.stack()
 
 
 def brute_force_identity_residual(group, values):
@@ -38,6 +38,15 @@ def brute_force_identity_residual(group, values):
         rhs = values[b, c] * values[a, mul[b, c]]
         worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def identity_row_and_oracle(group, operators):
+    """The invariant pass's cocycle_identity row for ``operators``, and the
+    brute-force defect of the cocycle table that pass extracted."""
+    frame = pf.ProjectiveFrame(group=group, operators=operators, dim=operators[0].shape[0])
+    found = frames._invariant_pass(frame, pf.DEFAULT_TOL)
+    return found.residuals["cocycle_identity"][0], brute_force_identity_residual(
+        group, found.cocycle.values)
 
 
 @pytest.fixture
@@ -55,92 +64,95 @@ def count_extractions(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# the 2-cocycle identity check
+# the 2-cocycle identity check: the row bounds every triple's defect
 
 
 @pytest.mark.parametrize("name", BUILTIN)
 def test_identity_check_matches_brute_force_on_builtin_tables(name, request):
-    # The check returns a proven upper bound on the brute-force residual.
     frame = request.getfixturevalue(name)
-    values = pf.cocycle_table(frame).values
-    bound = frames._cocycle_identity_residual(frame.group, values)
-    brute = brute_force_identity_residual(frame.group, values)
+    bound, brute = identity_row_and_oracle(frame.group, frame.stack())
     assert brute < 1e-12
-    assert bound >= brute - 1e-15
-    assert bound <= pf.DEFAULT_TOL.band(1.0)
+    assert brute <= bound <= pf.DEFAULT_TOL.band(1.0)
+    assert frame._verified[pf.DEFAULT_TOL].residuals["cocycle_identity"][0] == bound
+
+
+@pytest.mark.parametrize("build", [lambda: pf.weyl_frame(7), lambda: pf.leonhardt_frame(3),
+                                   lambda: pf.qubit_frame((-1, -1, -1))],
+                         ids=["weyl7", "leonhardt3", "qubit_mmm"])
+def test_identity_row_bounds_every_triple_on_larger_builtin_frames(build):
+    frame = build()
+    bound, brute = identity_row_and_oracle(frame.group, frame.stack())
+    assert brute <= bound <= pf.DEFAULT_TOL.band(1.0)
 
 
 @pytest.mark.parametrize("name", ["weyl3", "leonhardt2", "z2cubed"])
 def test_identity_check_fires_on_one_perturbed_entry(name, request):
     frame = request.getfixturevalue(name)
-    values = np.array(pf.cocycle_table(frame).values)
-    values[1, 2] *= np.exp(1e-3j)
-    bound = frames._cocycle_identity_residual(frame.group, values)
-    brute = brute_force_identity_residual(frame.group, values)
-    assert brute > 1e-4
-    assert bound >= brute - 1e-15
+    ops = np.array(frame.stack())
+    ops[1, 0, 0] += 1e-3 * np.exp(0.7j)
+    bound, brute = identity_row_and_oracle(frame.group, ops)
+    assert brute <= bound
     assert bound > pf.DEFAULT_TOL.band(1.0)
+    with pytest.raises(NotProjective):
+        pf.validate_frame(pf.ProjectiveFrame(group=frame.group, operators=ops, dim=frame.dim))
 
 
 @pytest.mark.parametrize("name", ["weyl3", "z2cubed", "tensor_qq"])
 def test_identity_bound_holds_under_every_single_entry_perturbation(name, request):
+    # A perturbed zero entry leaves the column-monomial route, a perturbed
+    # nonzero one keeps it, so both cocycle extractions are covered.
     frame = request.getfixturevalue(name)
-    exact = pf.cocycle_table(frame).values
-    n = frame.group.size
-    for a, b in itertools.product(range(n), repeat=2):
-        values = np.array(exact)
-        values[a, b] *= 1.0005 * np.exp(1e-3j)
-        bound = frames._cocycle_identity_residual(frame.group, values)
-        brute = brute_force_identity_residual(frame.group, values)
-        assert brute > 1e-4, (a, b)
-        assert bound >= brute - 1e-15, (a, b, bound, brute)
+    exact = frame.stack()
+    worst = 0.0
+    for index in itertools.product(*map(range, exact.shape)):
+        ops = np.array(exact)
+        ops[index] += 1e-3 * np.exp(0.7j)
+        bound, brute = identity_row_and_oracle(frame.group, ops)
+        assert brute <= bound, (index, bound, brute)
+        assert bound > pf.DEFAULT_TOL.band(1.0), index
+        worst = max(worst, brute)
+    assert worst > 1e-5  # the oracle sees real defects, not rounding only
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(["weyl3", "leonhardt2", "z2cubed", "tensor_qq"]),
-    phase_scale=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]),
-    modulus_scale=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]),
+    scale=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-2]),
+    monomial=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_identity_bound_holds_under_random_noise(name, phase_scale, modulus_scale, seed):
-    group, exact = builtin_cocycle(name)
+def test_identity_bound_holds_under_random_noise(name, scale, monomial, seed):
+    group, exact = builtin_stack(name)
     rng = np.random.default_rng(seed)
-    values = exact * np.exp(1j * phase_scale * rng.uniform(-1, 1, exact.shape))
-    values = values * (1.0 + modulus_scale * rng.uniform(-1, 1, exact.shape))
-    bound = frames._cocycle_identity_residual(group, values)
-    brute = brute_force_identity_residual(group, values)
-    assert bound >= brute - 1e-15
+    noise = scale * (rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape))
+    ops = exact + (np.where(exact != 0, noise, 0) if monomial else noise)
+    bound, brute = identity_row_and_oracle(group, ops)
+    assert brute <= bound
 
 
 def test_identity_check_on_the_trivial_group():
     frame = pf.trivial_frame()
     pf.validate_frame(frame)
-    values = pf.cocycle_table(frame).values
-    assert frames._cocycle_identity_residual(frame.group, values) == 0.0
-    assert brute_force_identity_residual(frame.group, values) == 0.0
+    assert identity_row_and_oracle(frame.group, frame.stack()) == (0.0, 0.0)
 
 
 def test_identity_check_on_a_non_monomial_stack(weyl3):
     rng = np.random.default_rng(7)
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    ops = tuple(u @ op @ u.conj().T for op in weyl3.operators)
-    frame = pf.ProjectiveFrame(group=weyl3.group, operators=ops, dim=3)
-    values = pf.cocycle_table(frame).values
-    bound = frames._cocycle_identity_residual(frame.group, values)
-    brute = brute_force_identity_residual(frame.group, values)
-    assert brute - 1e-15 <= bound <= pf.DEFAULT_TOL.band(1.0)
-    values = np.array(values)
-    values[4, 5] *= np.exp(1e-3j)
-    bound = frames._cocycle_identity_residual(frame.group, values)
-    brute = brute_force_identity_residual(frame.group, values)
-    assert brute > 1e-4
-    assert bound >= brute - 1e-15
+    ops = u @ weyl3.stack() @ u.conj().T
+    assert (ops != 0).sum(axis=1).min() > 1  # the dense route
+    bound, brute = identity_row_and_oracle(weyl3.group, ops)
+    assert brute <= bound <= pf.DEFAULT_TOL.band(1.0)
+    ops[4, 1, 2] += 1e-3
+    bound, brute = identity_row_and_oracle(weyl3.group, ops)
+    assert brute > 1e-5
+    assert brute <= bound
 
 
 def test_identity_bound_rejects_a_rounded_frame_that_every_triple_accepts():
     # Deliberate: rounding Weyl 5 to 9 decimals leaves every triple and every
-    # other row inside the band, but the bound (L = 8) lies above it.
+    # other row inside the band, but the bound (about 4 sqrt(5) times the
+    # projectivity residual) lies above it.
     exact = pf.weyl_frame(5)
     ops = tuple(np.round(op.real, 9) + 1j * np.round(op.imag, 9) for op in exact.operators)
     frame = pf.ProjectiveFrame(group=exact.group, operators=ops, dim=5)
@@ -154,12 +166,16 @@ def test_identity_bound_rejects_a_rounded_frame_that_every_triple_accepts():
     assert found.residuals["cocycle_identity"][0] > 4 * band
 
 
-def test_identity_check_without_a_modulus_margin_is_infinite_and_nan_fails(weyl3):
-    values = np.array(pf.cocycle_table(weyl3).values)
-    values[3, 3] = 0.0
-    assert frames._cocycle_identity_residual(weyl3.group, values) == np.inf
-    values[3, 3] = np.nan
-    assert np.isnan(frames._cocycle_identity_residual(weyl3.group, values))
+def test_identity_check_without_a_unitarity_margin_is_infinite_and_nan_fails(weyl3):
+    assert frames._cocycle_identity_residual(3, 1e-16, 0.0, 1.0) == np.inf
+    assert np.isnan(frames._cocycle_identity_residual(3, np.nan, 0.0, 0.0))
+    assert np.isnan(frames._cocycle_identity_residual(3, 1e-16, np.nan, 0.0))
+    assert np.isnan(frames._cocycle_identity_residual(3, 1e-16, 0.0, np.nan))
+    ops = np.array(weyl3.stack())
+    ops[4] = 0.0  # P^dag P - I = -I there: u = 1
+    assert identity_row_and_oracle(weyl3.group, ops)[0] == np.inf
+    with pytest.raises(NotProjective, match="not unitary"):
+        pf.validate_frame(pf.ProjectiveFrame(group=weyl3.group, operators=ops, dim=3))
 
 
 def test_identity_check_on_four_qubits_stays_in_quadratic_memory(qubit_ppp):
@@ -167,16 +183,15 @@ def test_identity_check_on_four_qubits_stays_in_quadratic_memory(qubit_ppp):
     for _ in range(3):
         frame = pf.tensor_frame(frame, qubit_ppp)
     assert frame.group.size == 256
-    values = pf.cocycle_table(frame).values
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        residual = frames._cocycle_identity_residual(frame.group, values)
+        found = frames._invariant_pass(frame, pf.DEFAULT_TOL)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert residual < 1e-12
+    assert found.residuals["cocycle_identity"][0] < 1e-12
     # Three |G|^3 complex temporaries would take about 800 MB.
     assert peak < 50 * 2**20
 
