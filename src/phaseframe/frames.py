@@ -78,22 +78,17 @@ class ProjectiveFrame:
     _verified: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        try:  # one coercion for a regular collection
-            stack = np.array(self.operators, dtype=np.complex128)
-        except (TypeError, ValueError, OverflowError):
-            stack = None
-        if stack is None or stack.ndim != 3 or not stack.size or not np.isfinite(stack).all():
-            stack = [as_matrix(op) for op in self.operators]  # the first bad operator raises
-        if len(stack) != self.group.size:
+        ops = tuple(as_matrix(op) for op in self.operators)
+        if len(ops) != self.group.size:
             raise GroupMismatch(
-                f"{len(stack)} operators for a group of size {self.group.size}"
+                f"{len(ops)} operators for a group of size {self.group.size}"
             )
-        for op in stack:
+        for op in ops:
             if op.shape != (self.dim, self.dim):
                 raise DimensionMismatch(
                     f"operator shape {op.shape} does not match dim {self.dim}"
                 )
-        stack = np.asarray(stack)
+        stack = np.stack(ops)
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
@@ -489,12 +484,20 @@ def phase_fix(
     ops = tuple(as_matrix(op) for op in operators)
     raw = ProjectiveFrame(group=group, operators=ops, dim=len(ops[0]) if ops else 0)
     found = _check(raw, tol, ("unitarity", "identity_at_origin", "projectivity"))
-    inv, index = group._inv, np.arange(group.size)
-    pair = found.cocycle.values[inv, index].conj()  # at g: conj alpha(g^-1, g)
-    mu = np.where(inv < index, pair, np.where((inv == index) & (index > 0), np.sqrt(pair), 1.0))
+    values = found.cocycle.values
+
+    inv = group._inv
+    mu = np.ones(group.size, dtype=np.complex128)
+    for a in range(group.size):
+        b = int(inv[a])
+        alpha_pair = values[a, b]  # alpha(g, g^-1)
+        if a < b:
+            mu[b] = alpha_pair.conj()
+        elif a == b and a != 0:
+            mu[a] = np.sqrt(alpha_pair.conj())
     frame = ProjectiveFrame(
         group=group,
-        operators=mu[:, None, None] * raw.stack(),
+        operators=tuple(mu[:, None, None] * raw.stack()),
         dim=raw.dim,
         metadata=dict(metadata) if metadata is not None else {"kind": "phase_fixed", "parameters": {}},
     )
@@ -534,12 +537,21 @@ def cocycle_table(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> Cocyc
 def kernel(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """Group elements mapped to a unit scalar times the identity, as a verified subgroup."""
     band = tol.band(1.0)
-    stack, d = frame.stack(), frame.dim
-    c = np.trace(stack, axis1=1, axis2=2) / d
-    scalar = np.abs(stack - c[:, None, None] * np.eye(d)).max(axis=(1, 2)) <= band
-    members = np.flatnonzero((abs(abs(c) - 1.0) <= band) & scalar)
-    if not np.isin(frame.group._mul[np.ix_(members, members)], members).all():
-        raise InternalInconsistency("kernel candidates are not closed under composition")
+    d = frame.dim
+    eye = np.eye(d)
+    members: list[int] = []
+    for idx, op in enumerate(frame.operators):
+        c = np.trace(op) / d
+        if abs(abs(c) - 1.0) <= band and max_abs(op - c * eye) <= band:
+            members.append(idx)
+    member_set = set(members)
+    mul = frame.group._mul
+    for a in members:
+        for b in members:
+            if int(mul[a, b]) not in member_set:
+                raise InternalInconsistency(
+                    "kernel candidates are not closed under composition"
+                )
     return [frame.group.elements[i] for i in members]
 
 

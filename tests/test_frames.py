@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import phaseframe as pf
-from phaseframe import frames
 from phaseframe.errors import (
     EvenDimension,
     InvalidDimension,
@@ -230,28 +229,6 @@ def test_phase_fix_rejects_non_projective_input():
         pf.phase_fix(group, raw)
 
 
-def _rephased(frame, seed):
-    """``frame``'s operators times random unit scalars, with P_e kept the identity."""
-    scalars = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=frame.group.size))
-    scalars[0] = 1.0
-    return scalars[:, None, None] * frame.stack()
-
-
-@pytest.mark.parametrize("name", ["weyl3", "leonhardt2", "z2cubed", "qubit_ppm", "tensor_qq"])
-def test_phase_fix_matches_the_per_element_loop(name, request):
-    frame = request.getfixturevalue(name)
-    group, raw = frame.group, _rephased(frame, 5)
-    found = frames._invariant_pass(
-        pf.ProjectiveFrame(group=group, operators=raw, dim=frame.dim), pf.DEFAULT_TOL)
-    values, mu = found.cocycle.values, np.ones(group.size, dtype=complex)
-    for a, b in enumerate(group._inv):  # the loop phase_fix replaced, as the reference
-        if a < b:
-            mu[b] = values[a, b].conj()
-        elif a == b and a != 0:
-            mu[a] = np.sqrt(values[a, b].conj())
-    np.testing.assert_array_equal(pf.phase_fix(group, raw).stack(), mu[:, None, None] * raw)
-
-
 # --------------------------------------------------------------------------
 # cocycles
 
@@ -312,21 +289,6 @@ def test_leonhardt_kernel(leonhardt2):
 def test_z2cubed_kernel(z2cubed):
     assert set(pf.kernel(z2cubed)) == {(0, 0, 0), (1, 0, 0)}
     assert not pf.is_faithful(z2cubed)
-
-
-@pytest.mark.parametrize("name", ["weyl3", "leonhardt2", "z2cubed", "tensor_qq"])
-def test_kernel_matches_the_per_operator_loop(name, request):
-    frame = request.getfixturevalue(name)
-    # Rephased, so kernel operators are unit scalars other than 1 times the identity.
-    fixed = pf.phase_fix(frame.group, _rephased(frame, 9))
-    band, eye = pf.DEFAULT_TOL.band(1.0), np.eye(frame.dim)
-    for f in (frame, fixed):
-        expected = []  # the loop kernel replaced, as the reference
-        for g, op in zip(f.group.elements, f.operators):
-            c = np.trace(op) / f.dim
-            if abs(abs(c) - 1.0) <= band and np.abs(op - c * eye).max() <= band:
-                expected.append(g)
-        assert pf.kernel(f) == expected
 
 
 def test_faithful_frames_have_square_size(weyl3, weyl5, qubit_ppp, tensor_qq):

@@ -89,12 +89,16 @@ def test_identity_row_bounds_every_triple_on_larger_builtin_frames(build):
 def test_identity_check_fires_on_one_perturbed_entry(name, request):
     frame = request.getfixturevalue(name)
     ops = np.array(frame.stack())
-    ops[1, 0, 0] += 1e-3 * np.exp(0.7j)
+    # A nonzero entry: perturbing a zero one moves the table only at second order.
+    ops[1, 0, np.flatnonzero(ops[1, 0])[0]] += 1e-3 * np.exp(0.7j)
     bound, brute = identity_row_and_oracle(frame.group, ops)
+    assert brute > 1e-4
     assert brute <= bound
     assert bound > pf.DEFAULT_TOL.band(1.0)
-    with pytest.raises(NotProjective):
-        pf.validate_frame(pf.ProjectiveFrame(group=frame.group, operators=ops, dim=frame.dim))
+    # The row itself fires, not only the unitarity row ahead of it in validate_frame.
+    perturbed = pf.ProjectiveFrame(group=frame.group, operators=ops, dim=frame.dim)
+    with pytest.raises(NotProjective, match="2-cocycle identity violated"):
+        frames._check(perturbed, pf.DEFAULT_TOL, ("cocycle_identity",))
 
 
 @pytest.mark.parametrize("name", ["weyl3", "z2cubed", "tensor_qq"])
