@@ -5,8 +5,7 @@ Everything downstream manipulates small complex matrices (d x d operators,
 around numpy. Matrices are plain ``numpy.ndarray`` values with dtype
 complex128, i.e. row-major (re, im) double pairs. Hermitian operators stay
 complex matrices throughout; where a frame operator over them is needed, it is
-formed from the flattened matrices (``frames.frame_bounds``), with no real
-coordinate basis in between.
+read off the flattened matrices, with no real coordinate basis in between.
 """
 
 from __future__ import annotations

@@ -21,10 +21,12 @@ from .errors import (
     EvenDimension,
     InternalInconsistency,
     InvalidDimension,
+    NotHermitian,
     NotNormalized,
     ShapeMismatch,
 )
-from .frames import ProjectiveFrame, _fourier_operators, validate_frame
+from .frames import ProjectiveFrame, validate_frame
+from .groups import character_table
 from .linalg import DEFAULT_TOL, Tolerance, max_abs, require_hermitian
 
 __all__ = [
@@ -73,14 +75,24 @@ def build_representation(
     """Fourier-transform a projective frame into a quasi-probability representation.
 
     F_j = (1/|G|) sum_g chi_j(g) P_g, which the frame conventions force to be
-    Hermitian (NotHermitian otherwise). The frame is then verified, and for a
-    verified frame sum_g |P_g><P_g| = (|G|/d) I, so the Fourier frame operator
-    is I/d and the canonical dual frame is D_j = d F_j. The reconstruction
-    identity d sum_j |F_j><F_j| = I is asserted at run time.
+    Hermitian (NotHermitian beyond ``tol.derived_band(max|F|)``; the kept F_j are
+    symmetrized). The frame is then verified, and for a verified frame
+    sum_g |P_g><P_g| = (|G|/d) I, so the Fourier frame operator is I/d and the
+    canonical dual frame is D_j = d F_j. The reconstruction identity
+    d sum_j |F_j><F_j| = I is asserted at run time.
     """
-    fourier = _fourier_operators(frame, tol)
+    group, n, d = frame.group, frame.group.size, frame.dim
+    fourier = np.tensordot(character_table(group), frame.stack(), axes=([1], [0])) / n
+    deviation = np.abs(fourier - fourier.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(deviation > tol.derived_band(max_abs(fourier)))
+    if bad.size:
+        j = int(bad[0])
+        raise NotHermitian(
+            f"Fourier operator {group.elements[j]} is not Hermitian "
+            f"(deviation {deviation[j]:.3e}); the frame violates the inverse convention"
+        )
+    fourier = 0.5 * (fourier + np.transpose(fourier, (0, 2, 1)).conj())
     validate_frame(frame, tol)
-    n, d = frame.group.size, frame.dim
     vecs = fourier.reshape(n, d * d)
     resolution = max_abs(d * (vecs.T @ vecs.conj()) - np.eye(d * d))
     if resolution > tol.derived_band(1.0):

@@ -84,16 +84,27 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], -1).tolist()
 
 
+def _json_numbers(data, may_hold_bools: bool = True) -> np.ndarray:
+    """``np.asarray(data, dtype=float)``, but bool and string entries raise ValueError;
+    ``may_hold_bools=False``, for text without true or false, skips that scan if numeric."""
+    arr = np.asarray(data)  # strings, null and huge integers leave a non-numeric dtype
+    if not may_hold_bools and arr.dtype.kind in "fi":
+        return arr.astype(float, copy=False)
+    if not {bool, str}.isdisjoint(map(type, np.asarray(data, dtype=object).ravel())):
+        raise ValueError("expected JSON numbers, got a bool or a string")
+    return np.asarray(data, dtype=float)
+
+
 def matrix_from_json(data) -> np.ndarray:
     try:
-        arr = np.asarray(data, dtype=float)
+        arr = _json_numbers(data)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FrameFileError(f"malformed matrix payload: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise FrameFileError(f"matrix payload has shape {arr.shape}, expected (rows, cols, 2)")
     if not np.isfinite(arr).all():
         raise FrameFileError("matrix payload contains non-finite values")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(np.complex128)[..., 0]
 
 
 def _frame_payload(frame: ProjectiveFrame, matrices) -> dict:
@@ -116,6 +127,10 @@ def frame_from_json(data, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
     Structural problems raise FrameFileError; a structurally sound file whose
     operators violate a frame invariant raises the specific invariant error.
     """
+    return _frame_from_json(data, tol, may_hold_bools=True)
+
+
+def _frame_from_json(data, tol: Tolerance, may_hold_bools: bool) -> ProjectiveFrame:
     if not isinstance(data, dict):
         raise FrameFileError("frame file must contain a JSON object")
     try:
@@ -139,12 +154,12 @@ def frame_from_json(data, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
         )
     group = make_group(orders)
     try:  # one parse of all payloads; an irregular file takes the per-entry checks below
-        cells = np.asarray([entry["matrix"] for entry in entries], dtype=float)
+        cells = _json_numbers([entry["matrix"] for entry in entries], may_hold_bools)
         regular = cells.shape == (size, dim, dim, 2) and np.isfinite(cells).all() and all(
             tuple(map(_json_int, entry["g"])) == g for entry, g in zip(entries, group.elements))
     except (KeyError, TypeError, ValueError, OverflowError):
         regular = False
-    operators = cells[..., 0] + 1j * cells[..., 1] if regular else []
+    operators = cells.view(np.complex128)[..., 0] if regular else []
     for pos, entry in enumerate(() if regular else entries):
         try:
             g = tuple(_json_int(r) for r in entry["g"])
@@ -246,7 +261,9 @@ def load_frame(path, tol: Tolerance = DEFAULT_TOL, *, with_sha256: bool = False)
     """Read, parse and verify a frame file; with ``with_sha256``, return
     ``(frame, digest)``, the SHA-256 hex digest of the bytes that were verified."""
     data, raw = _read_json(path, "frame")
-    return _with_digest(frame_from_json(data, tol), raw, with_sha256)
+    # JSON numbers hold no 'u' or 'f': memchr to the first of each skips a frame's matrices.
+    bools = b"true" in raw[max(raw.find(b"u") - 2, 0):] or b"false" in raw[raw.find(b"f"):]
+    return _with_digest(_frame_from_json(data, tol, bools), raw, with_sha256)
 
 
 def state_to_json(rho: np.ndarray) -> dict:

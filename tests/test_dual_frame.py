@@ -3,7 +3,8 @@
 For every verified frame the Fourier frame operator is I/d, so the canonical
 dual frame is d times the Fourier frame. These tests compute the canonical
 dual by a complex pseudo-inverse and the frame bounds by a real-coordinate
-Gram matrix, both inline, and compare them with the library's closed forms.
+Gram matrix, both inline, and compare them with the library's closed forms
+(the bounds the frame report reads off the invariant pass).
 """
 
 from functools import lru_cache
@@ -65,12 +66,15 @@ def _real_coords(m: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("name", LADDER)
 def test_frame_bounds_equal_the_real_coordinate_gram(name):
-    ops = pf.build_representation(_frame(name)).fourier_ops
+    frame = _frame(name)
+    ops = pf.build_representation(frame).fourier_ops
     coords = np.stack([_real_coords(op) for op in ops])
     eigs = np.linalg.eigvalsh(coords.T @ coords)
-    a, b = pf.frame_bounds(ops)
+    a, b = pf.frame_report(frame)["fourier_frame_bounds"]
     assert a == pytest.approx(eigs[0], abs=1e-12)
     assert b == pytest.approx(eigs[-1], abs=1e-12)
+    assert a == pytest.approx(1.0 / frame.dim, abs=1e-12)
+    assert b == pytest.approx(1.0 / frame.dim, abs=1e-12)
 
 
 def _scaled_weyl3() -> pf.ProjectiveFrame:

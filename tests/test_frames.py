@@ -7,7 +7,6 @@ import phaseframe as pf
 from phaseframe.errors import (
     EvenDimension,
     InvalidDimension,
-    NotHermitian,
     NotProjective,
 )
 
@@ -316,8 +315,7 @@ def test_leonhardt_operators(leonhardt2):
 
 
 def test_leonhardt_spans(leonhardt2):
-    rep = pf.build_representation(leonhardt2)
-    a, b = pf.frame_bounds(rep.fourier_ops)
+    a, b = pf.frame_report(leonhardt2)["fourier_frame_bounds"]
     assert a > 1e-6
 
 
@@ -335,36 +333,6 @@ def test_leonhardt_d4_largest_case():
     rho = pf.random_density(4, 44)
     back = pf.reconstruct(rep, pf.represent(rep, rho))
     assert np.max(np.abs(back - rho)) < 1e-10
-
-
-# --------------------------------------------------------------------------
-# frame bounds
-
-
-def test_frame_bounds_orthonormal_basis():
-    x, _ = pf.gen_pauli(2)
-    basis = [op / np.sqrt(2.0) for op in (np.eye(2), x, Y2, np.diag([1.0, -1.0]))]
-    a, b = pf.frame_bounds(basis)
-    assert a == pytest.approx(1.0, abs=1e-12)
-    assert b == pytest.approx(1.0, abs=1e-12)
-
-
-def test_frame_bounds_weyl_fourier_is_tight(weyl3_rep):
-    a, b = pf.frame_bounds(weyl3_rep.fourier_ops)
-    assert a == pytest.approx(b, abs=1e-12)
-    assert a > 0
-
-
-def test_frame_bounds_non_spanning_set():
-    x, _ = pf.gen_pauli(2)
-    a, b = pf.frame_bounds([np.eye(2), x])
-    assert abs(a) < 1e-12
-    assert b > 0
-
-
-def test_frame_bounds_rejects_non_hermitian(weyl3):
-    with pytest.raises(NotHermitian):
-        pf.frame_bounds([weyl3.operator((1, 0))])
 
 
 # --------------------------------------------------------------------------
@@ -387,6 +355,49 @@ def test_frame_report_passes_for_builtins(weyl3, qubit_ppp, leonhardt2, z2cubed)
         assert report["passed"], report["checks"]
     assert pf.frame_report(weyl3)["faithful"]
     assert not pf.frame_report(z2cubed)["faithful"]
+
+
+def _non_spanning_frame(orders=(2, 2)) -> pf.ProjectiveFrame:
+    # I, Z, I, Z over Z_2 x Z_2 (|G| = d^2), or I, Z over Z_2 (|G| < d^2): projective
+    # frames in every respect but spanning.
+    _, z = pf.gen_pauli(2)
+    ops = (np.eye(2), z) * (np.prod(orders) // 2)
+    return pf.ProjectiveFrame(group=pf.make_group(orders), operators=ops, dim=2)
+
+
+def test_frame_bounds_non_spanning_set():
+    for orders in ((2, 2), (2,)):
+        report = pf.frame_report(_non_spanning_frame(orders))
+        a, b = report["fourier_frame_bounds"]
+        assert abs(a) < 1e-12
+        assert b == pytest.approx(1.0, abs=1e-12)
+        rows = {name: ok for name, ok, _ in report["checks"]}
+        assert rows == {**dict.fromkeys(rows, True), "fourier_frame_bounds": False}
+        assert report["passed"] is False
+
+
+def _broken_frame(weyl3, broken: str) -> pf.ProjectiveFrame:
+    if broken == "spanning":
+        return _non_spanning_frame()
+    ops = [op.copy() for op in weyl3.operators]
+    x, y = (weyl3.group.index(g) for g in ((1, 0), (2, 0)))
+    if broken == "unitarity":
+        ops[x] *= 2.0
+    elif broken == "inverse_convention":
+        ops[4] *= np.exp(0.3j)
+    else:  # projectivity: an unrelated unitary pair U, U^dag in place of X, X^dag
+        u = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)) + 1j)[0]
+        ops[x], ops[y] = u, u.conj().T
+    return pf.ProjectiveFrame(group=weyl3.group, operators=tuple(ops), dim=3)
+
+
+@pytest.mark.parametrize("broken", ["unitarity", "inverse_convention", "projectivity",
+                                    "spanning"])
+def test_frame_report_marks_a_failed_invariant_without_raising(weyl3, broken):
+    report = pf.frame_report(_broken_frame(weyl3, broken))
+    rows = {name: ok for name, ok, _ in report["checks"]}
+    assert rows["fourier_frame_bounds" if broken == "spanning" else broken] is False
+    assert report["passed"] is False
 
 
 def test_frame_operators_are_immutable(weyl3):

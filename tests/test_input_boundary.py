@@ -27,9 +27,12 @@ def _frame_text(path, literal):
     return json.dumps(payload).replace(PLACEHOLDER, literal)
 
 
-def _state_text(literal):
+def _state_text(literal, path=("dim",)):
     payload = serialize.state_to_json(pf.maximally_mixed(3))
-    payload["dim"] = "@@"
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@@"
     return json.dumps(payload).replace(PLACEHOLDER, literal)
 
 
@@ -58,6 +61,9 @@ def _certify_distribution(tmp_path, weyl3_file, text):
     return ["certify", "--frame", str(weyl3_file), "--distribution", str(path)]
 
 
+FRAME_CELL = ["elements", 0, "matrix", 0, 0, 0]
+STATE_CELL = ["matrix", 0, 0, 0]
+MATRIX_TYPES = "malformed matrix payload: expected JSON numbers, got a bool or a string"
 BOUNDARY_CASES = {
     # int() on these raised ValueError, TypeError or OverflowError
     "schema-string": (_certify_frame, _frame_text(["schema_version"], '"x"'),
@@ -100,6 +106,17 @@ BOUNDARY_CASES = {
               "malformed element entry at position 0: expected a JSON integer, got 0.2"),
     "orders-3.5": (_certify_frame, _frame_text(["group", "orders"], "[3.5, 3]"),
                    "malformed group orders [3.5, 3]: expected a JSON integer, got 3.5"),
+    # float() converted these matrix entries: "1.0" and true certified with exit 0,
+    # "0.5" and false reached verification and exited 2
+    "frame-cell-string-1.0": (_certify_frame, _frame_text(FRAME_CELL, '"1.0"'), MATRIX_TYPES),
+    "frame-cell-string-0.5": (_certify_frame, _frame_text(FRAME_CELL, '"0.5"'), MATRIX_TYPES),
+    "frame-cell-true": (_certify_frame, _frame_text(FRAME_CELL, "true"), MATRIX_TYPES),
+    "frame-cell-false": (_certify_frame, _frame_text(FRAME_CELL, "false"), MATRIX_TYPES),
+    "frame-all-bool-matrix": (_certify_frame, _frame_text(FRAME_CELL[:3], "[[[true, false]]]"),
+                              MATRIX_TYPES),
+    "state-cell-string-1.0": (_certify_state, _state_text('"1.0"', STATE_CELL), MATRIX_TYPES),
+    "state-cell-true": (_certify_state, _state_text("true", STATE_CELL), MATRIX_TYPES),
+    "state-cell-false": (_certify_state, _state_text("false", STATE_CELL), MATRIX_TYPES),
 }
 
 
@@ -111,6 +128,23 @@ def test_malformed_input_file_exits_one_with_one_error_line(case, tmp_path, weyl
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_a_bool_outside_the_matrices_still_loads(tmp_path, weyl3_file, capsys):
+    # A ``true`` anywhere in the text makes the reader scan every matrix entry.
+    text = _frame_text(["metadata", "parameters", "flag"], "true")
+    assert main(_certify_frame(tmp_path, weyl3_file, text)) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("literal", [True, "1.0"])
+def test_the_api_reader_rejects_bool_and_string_entries(literal):
+    payload = serialize.frame_to_json(pf.weyl_frame(3))
+    payload["elements"][4]["matrix"][1][1][1] = literal
+    with pytest.raises(FrameFileError, match="expected JSON numbers"):
+        serialize.frame_from_json(payload)
+    with pytest.raises(FrameFileError, match="expected JSON numbers"):
+        serialize.matrix_from_json(payload["elements"][4]["matrix"])
 
 
 @pytest.mark.parametrize("key", ["matrix", "g"])

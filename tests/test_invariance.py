@@ -1,9 +1,10 @@
 """Verdicts that do not depend on how a frame is presented: tensoring with the
-trivial frame, rephasing by a character, and rephasing by unit scalars that
-``phase_fix`` then repairs."""
+trivial frame, rephasing by a character, rephasing by unit scalars that
+``phase_fix`` then repairs, and relabeling the group by an automorphism."""
 
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,14 @@ FRAMES = {
     "z2cubed": pf.z2cubed_frame,
     "tensor_qq": lambda: pf.tensor_frame(pf.qubit_frame(), pf.qubit_frame()),
 }
+# Every built-in frame lives on a homocyclic group Z_n^k, whose automorphisms are the
+# invertible k x k matrices mod n.
+HOMOCYCLIC = {
+    **FRAMES,
+    "qubit": pf.qubit_frame,
+    "leonhardt3": lambda: pf.leonhardt_frame(3),
+    "qubit^3": lambda: pf.tensor_frame(frame("tensor_qq"), pf.qubit_frame()),
+}
 STATES = {
     "mixed": lambda d, seed: pf.maximally_mixed(d),
     "basis": lambda d, seed: pf.basis_state(d, seed % d),
@@ -32,7 +41,7 @@ STATES = {
 
 @functools.cache
 def frame(name):
-    return FRAMES[name]()
+    return HOMOCYCLIC[name]()
 
 
 def certify(frame, rho):
@@ -96,3 +105,45 @@ def test_rephasing_by_unit_scalars_then_phase_fix_keeps_the_quantum_verdict(name
     assert after.is_quantum_state == before.is_quantum_state
     assert abs(after.mq_min_eig - before.mq_min_eig) <= 1e-12
     assert abs(after.state_min_eig - before.state_min_eig) <= 1e-12
+
+
+def _automorphism(k: int, n: int, rng) -> np.ndarray:
+    """A random invertible k x k matrix mod n: a permuted identity, scaled by a unit,
+    then sheared by row additions, each of which is invertible."""
+    a = np.eye(k, dtype=np.int64)[rng.permutation(k)]
+    a[rng.integers(k)] *= rng.choice([u for u in range(1, n) if math.gcd(u, n) == 1])
+    for _ in range(2 * k):
+        i, j = rng.choice(k, size=2, replace=False)
+        a[i] += rng.integers(1, n) * a[j]
+    return a % n
+
+
+def _index(group, residues) -> np.ndarray:
+    """Lexicographic indices of the rows of ``residues``, reduced mod the orders."""
+    weight = np.cumprod((group.orders[1:] + (1,))[::-1])[::-1]
+    return (residues % np.array(group.orders)) @ weight
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(HOMOCYCLIC)), state=st.sampled_from(sorted(STATES)),
+       seed=st.integers(0, 2**16))
+def test_relabeling_by_a_group_automorphism_keeps_every_verdict(name, state, seed):
+    base = frame(name)
+    group = base.group
+    n, k = group.orders[0], len(group.orders)
+    assert group.orders == (n,) * k
+    a = _automorphism(k, n, np.random.default_rng(seed))
+    residues = group._residues
+    # P'_g = P_(A g) is again a frame over the same group.
+    ops = base.stack()[_index(group, residues @ a.T)]
+    relabeled = pf.ProjectiveFrame(group=group, operators=ops, dim=base.dim)
+    pf.validate_frame(relabeled)
+    rho = STATES[state](base.dim, seed)
+    before, after = certify(base, rho), certify(relabeled, rho)
+    # F'_j = (1/|G|) sum_g chi_j(g) P_(A g) = F_(A^-T j), so mu'(A^T j) = mu(j).
+    np.testing.assert_allclose(after.mu[_index(group, residues @ a)], before.mu,
+                               rtol=0, atol=1e-12)
+    for field in ("is_quantum_state", "is_positively_representable", "boundary"):
+        assert getattr(after, field) == getattr(before, field), field
+    for field in ("min_mu", "mc_min_eig", "mq_min_eig", "state_min_eig"):
+        assert abs(getattr(after, field) - getattr(before, field)) <= 1e-12, field

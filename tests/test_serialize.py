@@ -20,8 +20,7 @@ def test_frame_roundtrip_is_bitwise(tmp_path, weyl3):
     loaded = serialize.load_frame(path)
     assert loaded.group.orders == weyl3.group.orders
     assert loaded.dim == weyl3.dim
-    for a, b in zip(loaded.operators, weyl3.operators):
-        assert np.array_equal(a, b)
+    assert loaded.stack().tobytes() == weyl3.stack().tobytes()  # signed zeros included
     assert loaded.metadata == weyl3.metadata
 
 
@@ -306,3 +305,72 @@ def test_irregular_frame_file_names_its_first_bad_entry(tmp_path, weyl3, mutate,
     with pytest.raises(FrameFileError) as info:
         serialize.frame_from_json(data)
     assert message in str(info.value)
+
+
+# -- write, read, write: the same bytes ---------------------------------------
+
+# Ladder frames small enough to tensor in a test; the largest product is |G| = 256, d = 8.
+FACTORS = {
+    "weyl3": lambda: pf.weyl_frame(3),
+    "weyl5": lambda: pf.weyl_frame(5),
+    "leonhardt2": lambda: pf.leonhardt_frame(2),
+    "z2cubed": pf.z2cubed_frame,
+    "qubit-even": pf.qubit_frame,
+    "qubit-odd": lambda: pf.qubit_frame((1, 1, -1)),
+    "trivial": pf.trivial_frame,
+}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _rewritten(path, read, write) -> bytes:
+    """The bytes of ``path`` after one read and one write back."""
+    again = path.with_name("again-" + path.name)
+    write(read(path), again)
+    return again.read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(first=st.sampled_from(sorted(FACTORS)), second=st.sampled_from(sorted(FACTORS)))
+def test_frame_files_round_trip_byte_for_byte(first, second):
+    frame = pf.tensor_frame(FACTORS[first](), FACTORS[second]())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frame.json"
+        serialize.save_frame(frame, path)
+        assert _rewritten(path, serialize.load_frame, serialize.save_frame) == path.read_bytes()
+
+
+@pytest.mark.parametrize("name", [n for n in LADDER if n != "weyl11-read-back"])
+def test_ladder_frame_files_round_trip_byte_for_byte(tmp_path, name):
+    path = tmp_path / "frame.json"
+    serialize.save_frame(LADDER[name](tmp_path), path)
+    assert _rewritten(path, serialize.load_frame, serialize.save_frame) == path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 6), data=st.data())
+def test_state_files_round_trip_byte_for_byte(d, data):
+    kind = data.draw(st.sampled_from(["density", "pure", "herm", "floats"]))
+    seed = data.draw(st.integers(0, 2**16))
+    if kind == "floats":  # any finite entries, signed zeros and subnormals included
+        rho = np.zeros((d, d), dtype=complex)  # set part by part: a sum drops -0.0 signs
+        rho.real, rho.imag = data.draw(hnp.arrays(np.float64, (2, d, d), elements=_FINITE))
+    else:
+        make = {"density": pf.random_density, "pure": pf.random_pure,
+                "herm": pf.random_hermitian_trace1}[kind]
+        rho = make(max(d, 2), seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        serialize.save_state(rho, path)
+        assert _rewritten(path, serialize.load_state, serialize.save_state) == path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders=st.lists(st.integers(2, 5), min_size=1, max_size=3), data=st.data())
+def test_distribution_csvs_round_trip_byte_for_byte(orders, data):
+    group = pf.make_group(orders)
+    mu = data.draw(hnp.arrays(np.float64, group.size, elements=_FINITE))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mu.csv"
+        serialize.save_distribution_csv(path, group, mu)
+        again = serialize.load_distribution_csv(path, group)
+        assert serialize.distribution_csv_bytes(group, again) == path.read_bytes()
