@@ -357,6 +357,17 @@ def test_frame_report_passes_for_builtins(weyl3, qubit_ppp, leonhardt2, z2cubed)
     assert not pf.frame_report(z2cubed)["faithful"]
 
 
+def test_frame_bounds_weyl_fourier_is_tight(weyl3, weyl3_rep):
+    a, b = pf.frame_report(weyl3)["fourier_frame_bounds"]
+    assert a == pytest.approx(b, abs=1e-12)
+    assert a == pytest.approx(1 / 3, abs=1e-12)
+    # the same bounds from the Fourier operators themselves: the extreme
+    # eigenvalues of their frame operator sum_k |F_k><F_k|
+    rows = np.array([op.ravel() for op in weyl3_rep.fourier_ops])
+    eig = np.linalg.eigvalsh(rows.conj().T @ rows)
+    assert (eig[0], eig[-1]) == pytest.approx((a, b), abs=1e-12)
+
+
 def _non_spanning_frame(orders=(2, 2)) -> pf.ProjectiveFrame:
     # I, Z, I, Z over Z_2 x Z_2 (|G| = d^2), or I, Z over Z_2 (|G| < d^2): projective
     # frames in every respect but spanning.
