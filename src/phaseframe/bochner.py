@@ -18,12 +18,14 @@ reported, never reconciled silently.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     CocycleMismatch,
+    InternalInconsistency,
     NotConjugateSymmetric,
     NotNormalized,
     PhaseFrameError,
@@ -34,22 +36,11 @@ from .groups import (
     FiniteAbelianGroup,
     _as_group_values,
     _symmetry_residual,
-    fourier_forward,
     translate_matrix,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    herm_eigenvalues,
-    max_abs,
-    psd_from_spectrum,
-)
-from .representation import (
-    QuasiProbRepresentation,
-    characteristic,
-    reconstruct,
-    represent,
-)
+from .linalg import DEFAULT_TOL, Tolerance, _hermitian_residual, max_abs, psd_from_spectrum
+from .representation import QuasiProbRepresentation, characteristic, reconstruct
+from .representation import _characteristic_checked, _represent_checked
 
 __all__ = [
     "BochnerCertificate",
@@ -89,12 +80,24 @@ def _require_conjugate_symmetric(
     group: FiniteAbelianGroup, phi, tol: Tolerance
 ) -> np.ndarray:
     arr = _as_group_values(group, phi)
-    residual = _symmetry_residual(group, arr)
-    if residual > tol.band(max_abs(arr)):
+    residual, band = _asymmetry(group, arr, tol)
+    if residual > band:
         raise NotConjugateSymmetric(
             f"phi(g^-1) != conj(phi(g)): residual {residual:.3e}"
         )
     return arr
+
+
+def _asymmetry(group: FiniteAbelianGroup, phi: np.ndarray, tol: Tolerance):
+    """max |phi(g^-1) - conj(phi(g))| and its band, ``band(max|phi|)``, for phi or
+    for each row of a (B, |G|) block: the one conjugate-symmetry test."""
+    return _symmetry_residual(group, phi), tol.band(np.abs(phi).max(axis=-1))
+
+
+def _off_trace(phi: np.ndarray, tol: Tolerance):
+    """Whether phi(e) = Tr(rho) is off 1 by more than ``band(1)``, for phi or for each
+    row of a (B, |G|) block: the one normalization test."""
+    return np.abs(phi[..., 0] - 1.0) > tol.band(1.0)
 
 
 def build_mc(
@@ -140,8 +143,15 @@ def mc_spectrum(group: FiniteAbelianGroup, phi, tol: Tolerance = DEFAULT_TOL) ->
     eigenvectors, and its eigenvalues are |G| times the Fourier transform of
     phi, which are real because phi is conjugate symmetric.
     """
-    arr = _require_conjugate_symmetric(group, phi, tol)
-    return np.sort((group.size * fourier_forward(group, arr)).real)
+    return _mc_spectra(group, _require_conjugate_symmetric(group, phi, tol)[None])[0]
+
+
+def _mc_spectra(group: FiniteAbelianGroup, phi: np.ndarray) -> np.ndarray:
+    """:func:`mc_spectrum` of each row of a checked (B, |G|) block: one FFT over the
+    group axes, with the 1/|G| of ``groups.fourier_forward`` kept for its rounding."""
+    n, k = group.size, len(group.orders)
+    fourier = np.fft.fftn(phi.reshape(-1, *group.orders), axes=tuple(range(1, k + 1)))
+    return np.sort((n * (fourier.reshape(-1, n) / n)).real, axis=1)
 
 
 def mq_spectrum(frame: ProjectiveFrame, phi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -158,86 +168,148 @@ def mq_spectrum(frame: ProjectiveFrame, phi, tol: Tolerance = DEFAULT_TOL) -> np
     each eigenvalue of rho times |G|/d, d times over, and |G| - d^2 zeros.
     rho itself is read from phi, as rho = (d/|G|) sum_g phi(g) P_g^dag.
     """
-    group, d = frame.group, frame.dim
-    arr = _require_conjugate_symmetric(group, phi, tol)
+    arr = _require_conjugate_symmetric(frame.group, phi, tol)
     _verified_cocycle(frame, tol)
-    n = group.size
-    # sum_g phi(g) P_g^dag is the adjoint of sum_g conj(phi(g)) P_g.
-    rho = (arr.conj() @ frame.stack().reshape(n, d * d)).reshape(d, d).conj().T
-    rho = (d / n) * 0.5 * (rho + rho.conj().T)
-    scaled = (n / d) * herm_eigenvalues(rho, tol)
-    return np.sort(np.concatenate([np.repeat(scaled, d), np.zeros(n - d * d)]))
+    return _mq_spectra(frame, arr[None])[0]
 
 
-def _require_hermitian_twist(
-    group: FiniteAbelianGroup, phi: np.ndarray, cocycle: CocycleTable, tol: Tolerance
-) -> None:
-    """Raise exactly what :func:`build_mq` raises for this phi and cocycle.
+def _mq_spectra(frame: ProjectiveFrame, phi: np.ndarray) -> np.ndarray:
+    """:func:`mq_spectrum` of each row of a checked (B, |G|) block. Each product is a
+    (1, |G|) row times the stack, so numpy keeps its matrix-vector kernel and a
+    row's bits do not depend on B; the symmetrized rho is exactly Hermitian."""
+    n, d = frame.group.size, frame.dim
+    # sum_g phi(g) P_g^dag is the adjoint of this sum_g conj(phi(g)) P_g.
+    adj = (phi.conj()[:, None, :] @ frame.stack().reshape(n, d * d)).reshape(-1, d, d)
+    rho = (d / n) * 0.5 * (adj.conj().transpose(0, 2, 1) + adj)
+    spectra = np.repeat((n / d) * np.linalg.eigvalsh(rho), d, axis=1)
+    return np.sort(np.concatenate([spectra, np.zeros((len(phi), n - d * d))], axis=1), axis=1)
+
+
+def _require_hermitian_twist(group: FiniteAbelianGroup, phi: np.ndarray, cocycle: CocycleTable,
+                             tol: Tolerance) -> dict[int, CocycleMismatch]:
+    """What :func:`build_mq` raises for each row of a (B, |G|) block of phi, by row.
 
     The deviation of M_q from Hermitian at (g, gh) is at most
     |phi(h)| * twist_defect(h) + |phi(h) - conj(phi(h^-1))| * max|alpha|, an
-    O(|G|) bound per state. Only when it passes half of build_mq's limit,
-    which leaves room for rounding in the dense product, is M_q built.
+    O(|G|) bound per row. Only for a row past half of build_mq's limit, which
+    leaves room for rounding in the dense product, is M_q built.
     """
-    bound = max_abs(np.abs(phi) * cocycle.twist_defect) + _symmetry_residual(
-        group, phi
-    ) * max_abs(cocycle.values)
-    if bound > 0.5 * tol.derived_band(max_abs(phi)):
-        build_mq(group, phi, cocycle, tol)
+    bound = (np.abs(phi) * cocycle.twist_defect).max(axis=1)
+    bound += _symmetry_residual(group, phi) * max_abs(cocycle.values)
+    errors = {}
+    for i in np.flatnonzero(bound > 0.5 * tol.derived_band(np.abs(phi).max(axis=1))):
+        try:
+            build_mq(group, phi[i], cocycle, tol)
+        except CocycleMismatch as exc:
+            errors[int(i)] = exc
+    return errors
 
 
-def certify_state(
-    rep: QuasiProbRepresentation,
-    rho,
-    tol: Tolerance = DEFAULT_TOL,
-) -> BochnerCertificate:
+def _row_error(rep: QuasiProbRepresentation, rho, tol: Tolerance) -> PhaseFrameError:
+    """The error the row checks raise for a state a bulk test rejected: the tests
+    are shared, so this only picks the message."""
+    try:
+        phi = characteristic(rep, rho, tol)  # shape, finite, square, Hermitian, dimension
+        if _off_trace(phi, tol):
+            raise NotNormalized(f"trace = {phi[0]:.12g}, expected 1")
+        _verified_cocycle(rep.frame, tol)
+        _require_conjugate_symmetric(rep.group, phi, tol)
+    except PhaseFrameError as exc:
+        return exc
+    raise InternalInconsistency("a state the bulk checks reject passes the row checks")
+
+
+def _certify_rows(
+    rep: QuasiProbRepresentation, states: list, tol: Tolerance
+) -> list[BochnerCertificate | PhaseFrameError]:
+    """The certificate of each state, or the error :func:`certify_state` raises for it.
+
+    States of the right shape are checked together, in the row checks' order and by
+    the tests they own (``_hermitian_residual``, ``_off_trace``, ``_asymmetry``); a max
+    of magnitudes is exact in any order, so a bulk test passes exactly the rows it
+    passes alone. A rejected state takes its error from :func:`_row_error`, the rest
+    one :func:`_certify_block`.
+    """
+    group, d = rep.group, rep.dim
+    rows = {}
+    for i, rho in enumerate(states):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            if (arr := np.asarray(rho, dtype=np.complex128)).shape == (d, d):
+                rows[i] = arr
+    live = np.array(list(rows), dtype=int)
+    block = np.array(list(rows.values())).reshape(-1, d, d)
+    phi = np.zeros((len(live), group.size), dtype=np.complex128)
+
+    def keep(passed) -> None:
+        nonlocal live, block, phi
+        live, block, phi = live[passed], block[passed], phi[passed]
+
+    keep(np.isfinite(block).all(axis=(1, 2)))
+    residual, band = _hermitian_residual(block, tol)
+    keep(~(residual > band))
+    phi = np.array([_characteristic_checked(rep, rows[i]) for i in live]).reshape(-1, group.size)
+    keep(~_off_trace(phi, tol))
+    out = {}
+    if live.size:
+        cocycle = _verified_cocycle(rep.frame, tol)
+        residual, band = _asymmetry(group, phi, tol)
+        keep(~(residual > band))
+        twisted = _require_hermitian_twist(group, phi, cocycle, tol)
+        out = {int(live[j]): exc for j, exc in twisted.items()}
+        keep(~np.isin(np.arange(len(live)), list(twisted)))
+        certs = _certify_block(rep, [rows[i] for i in live], block, phi, tol)
+        out.update(zip(live.tolist(), certs))
+    return [out[i] if i in out else _row_error(rep, rho, tol) for i, rho in enumerate(states)]
+
+
+def _certify_block(rep: QuasiProbRepresentation, rows: list, block: np.ndarray,
+                   phi: np.ndarray, tol: Tolerance) -> list[BochnerCertificate | PhaseFrameError]:
+    """Certify B checked states: ``rows``, their (B, d, d) ``block`` and (B, |G|) ``phi``.
+
+    The verdicts come from the closed-form spectra of the translate matrices, the
+    oracles from rho's eigenvalues and mu, for all rows at once. Each batched step
+    gives a row the bits it gets alone; mu is one einsum per row, as a batched one is not.
+    """
+    mc_psd, mc_min = psd_from_spectrum(_mc_spectra(rep.group, phi), tol)
+    mq_psd, mq_min = psd_from_spectrum(_mq_spectra(rep.frame, phi), tol)
+    state_psd, state_min = psd_from_spectrum(np.linalg.eigvalsh(block), tol)
+    certs: list[BochnerCertificate | PhaseFrameError] = []
+    for i, arr in enumerate(rows):
+        try:
+            mu = _represent_checked(rep, arr, tol)
+        except PhaseFrameError as exc:
+            certs.append(exc)
+            continue
+        min_mu = float(np.min(mu))
+        quantum, positive = bool(mq_psd[i]), bool(mq_psd[i] and mc_psd[i])
+        oracle_quantum = bool(state_psd[i])
+        oracle_positive = oracle_quantum and min_mu >= -tol.band(max(1.0, max_abs(mu)))
+        agree_state, agree_positive = oracle_quantum == quantum, oracle_positive == positive
+        certs.append(BochnerCertificate(
+            orders=rep.group.orders, phi=phi[i], mu=mu, tol=tol,
+            mc_min_eig=float(mc_min[i]), mq_min_eig=float(mq_min[i]),
+            is_quantum_state=quantum, is_positively_representable=positive,
+            boundary=not (agree_state and agree_positive),
+            state_min_eig=float(state_min[i]), min_mu=min_mu,
+            oracle_agreement_state=agree_state, oracle_agreement_positivity=agree_positive,
+        ))
+    return certs
+
+
+def certify_state(rep: QuasiProbRepresentation, rho,
+                  tol: Tolerance = DEFAULT_TOL) -> BochnerCertificate:
     """Certify a Hermitian trace-1 operator through its characteristic function.
 
-    Both verdicts are decided from the spectra of the translate matrices,
-    computed from phi in closed form by :func:`mc_spectrum` and
-    :func:`mq_spectrum`; the direct spectral oracles (eigenvalues of rho,
-    quasi-probability values) are then computed independently and compared.
-    ``boundary`` flags the rare case where the two routes land on opposite
-    sides of a tolerance threshold. The frame's invariant pass is run once
-    and remembered, and its verified cocycle is the only one used: the
-    theorem twists M_q by the frame's own cocycle.
+    Both verdicts come from the spectra of the translate matrices, as by
+    :func:`mc_spectrum` and :func:`mq_spectrum`, compared with the direct spectral
+    oracles; ``boundary`` flags the two routes landing on opposite sides of a
+    threshold. The frame's verified cocycle, remembered with its invariant pass, is
+    the only one used. This is :func:`scan`'s batched certifier on one row.
     """
-    group = rep.group
-    phi = characteristic(rep, rho, tol)  # validates Hermiticity and shape
-    trace = phi[0]
-    if abs(trace - 1.0) > tol.band(1.0):
-        raise NotNormalized(f"trace = {trace:.12g}, expected 1")
-    cocycle = _verified_cocycle(rep.frame, tol)
-    mc_eigs = mc_spectrum(group, phi, tol)
-    _require_hermitian_twist(group, phi, cocycle, tol)
-    mc_psd, mc_min = psd_from_spectrum(mc_eigs, tol)
-    mq_psd, mq_min = psd_from_spectrum(mq_spectrum(rep.frame, phi, tol), tol)
-    is_quantum = mq_psd
-    is_positive = mq_psd and mc_psd
-
-    oracle_quantum, state_min = psd_from_spectrum(herm_eigenvalues(rho, tol), tol)
-    mu = represent(rep, rho, tol)
-    min_mu = float(np.min(mu))
-
-    oracle_positive = oracle_quantum and min_mu >= -tol.band(max(1.0, max_abs(mu)))
-    agree_state = oracle_quantum == is_quantum
-    agree_positive = oracle_positive == is_positive
-
-    return BochnerCertificate(
-        orders=group.orders,
-        phi=phi,
-        mu=mu,
-        mc_min_eig=float(mc_min),
-        mq_min_eig=float(mq_min),
-        is_quantum_state=bool(is_quantum),
-        is_positively_representable=bool(is_positive),
-        boundary=not (agree_state and agree_positive),
-        tol=tol,
-        state_min_eig=state_min,
-        min_mu=min_mu,
-        oracle_agreement_state=bool(agree_state),
-        oracle_agreement_positivity=bool(agree_positive),
-    )
+    (outcome,) = _certify_rows(rep, [rho], tol)
+    if isinstance(outcome, PhaseFrameError):
+        raise outcome
+    return outcome
 
 
 def certify_distribution(
@@ -303,31 +375,19 @@ def scan(
     states, boundary flags, and failed rows.
     """
     states = list(states)
-    if labels is None:
-        labels = [f"state[{i}]" for i in range(len(states))]
-    labels = list(labels)
+    labels = [f"state[{i}]" for i in range(len(states))] if labels is None else list(labels)
     if len(labels) != len(states):
         raise ShapeMismatch(f"{len(labels)} labels for {len(states)} states")
     _verified_cocycle(rep.frame, tol)  # a frame that fails does so once, not per row
-
-    rows: list[ScanRow] = []
-    n_valid = n_positive = n_boundary = n_failed = 0
-    for i, (label, rho) in enumerate(zip(labels, states)):
-        try:
-            cert = certify_state(rep, rho, tol)
-        except PhaseFrameError as exc:
-            rows.append(ScanRow(index=i, label=label, certificate=None, error=str(exc)))
-            n_failed += 1
-            continue
-        rows.append(ScanRow(index=i, label=label, certificate=cert, error=None))
-        n_valid += cert.is_quantum_state
-        n_positive += cert.is_positively_representable
-        n_boundary += cert.boundary
+    outcomes = _certify_rows(rep, states, tol)
+    certs = [c for c in outcomes if isinstance(c, BochnerCertificate)]
+    rows = tuple(ScanRow(i, label, None, str(c)) if isinstance(c, PhaseFrameError) else
+                 ScanRow(i, label, c, None) for i, (label, c) in enumerate(zip(labels, outcomes)))
     return ScanResult(
-        rows=tuple(rows),
+        rows=rows,
         n_states=len(states),
-        n_valid=n_valid,
-        n_positive=n_positive,
-        n_boundary=n_boundary,
-        n_failed=n_failed,
+        n_valid=sum(c.is_quantum_state for c in certs),
+        n_positive=sum(c.is_positively_representable for c in certs),
+        n_boundary=sum(c.boundary for c in certs),
+        n_failed=len(states) - len(certs),
     )

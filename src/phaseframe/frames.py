@@ -562,12 +562,13 @@ def frame_report(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> dict:
     ker = kernel(frame, tol)
     faithful = ker == [frame.group.identity()]
     checks.append(("kernel_subgroup", True, f"{len(ker)} element(s): {ker}"))
-    if faithful:
+    if faithful:  # traces and inner products of the checked operators, scale d
         traces = [abs(np.trace(op)) for op in frame.operators[1:]]
-        record("tracelessness_off_identity", max(traces) if traces else 0.0, 1e-10)
+        limit = tol.band(frame.dim)
+        record("tracelessness_off_identity", max(traces) if traces else 0.0, limit)
         flat = frame.stack().reshape(frame.group.size, -1)
         gram = flat.conj() @ flat.T - frame.dim * np.eye(frame.group.size)
-        record("gram_orthogonality", max_abs(gram), 1e-10)
+        record("gram_orthogonality", max_abs(gram), limit)
 
     unspanned, limit = found.residuals["spanning"]
     a, b = found.fourier_bounds

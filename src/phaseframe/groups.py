@@ -195,9 +195,10 @@ class ClassicalBochnerResult:
     symmetry_residual: float
 
 
-def _symmetry_residual(group: FiniteAbelianGroup, arr: np.ndarray) -> float:
-    """max |f(g^-1) - conj(f(g))| over the group; 0 for a conjugate-symmetric f."""
-    return float(np.max(np.abs(arr[group._inv] - arr.conj())))
+def _symmetry_residual(group: FiniteAbelianGroup, arr: np.ndarray):
+    """max |f(g^-1) - conj(f(g))| over the group; 0 for a conjugate-symmetric f.
+    A (B, |G|) block of functions gets one residual per row."""
+    return np.abs(arr[..., group._inv] - arr.conj()).max(axis=-1)
 
 
 def classical_bochner_check(
@@ -215,7 +216,7 @@ def classical_bochner_check(
     scale = max_abs(arr)
     band = tol.band(scale)
 
-    symmetry_residual = _symmetry_residual(group, arr)
+    symmetry_residual = float(_symmetry_residual(group, arr))
     identity_residual = abs(arr[0] - 1.0)
     symmetric = symmetry_residual <= band
     normalized = identity_residual <= tol.band(1.0)

@@ -66,7 +66,10 @@ def max_abs(m: np.ndarray) -> float:
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite, nonempty 2-d complex128 array."""
-    arr = np.asarray(m, dtype=np.complex128)
+    try:
+        arr = np.asarray(m, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+        raise ShapeMismatch(f"expected a nonempty 2-d matrix: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeMismatch(f"expected a nonempty 2-d matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -79,23 +82,22 @@ def dagger(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
-def require_square(m) -> np.ndarray:
+def require_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Validate squareness and Hermiticity within tolerance; return the coerced matrix."""
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {arr.shape}")
+    residual, band = _hermitian_residual(arr, tol)
+    if residual > band:
+        raise NotHermitian(f"matrix deviates from Hermitian by {residual:.3e} (band {band:.3e})")
     return arr
 
 
-def require_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Validate Hermiticity within tolerance and return the coerced matrix."""
-    arr = require_square(m)
-    residual = max_abs(arr - arr.conj().T)
-    if residual > tol.band(max_abs(arr)):
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {residual:.3e} "
-            f"(band {tol.band(max_abs(arr)):.3e})"
-        )
-    return arr
+def _hermitian_residual(block: np.ndarray, tol: Tolerance):
+    """max |m - m^dag| and its band, ``band(max|m|)``, for a matrix or for each
+    matrix of a (B, n, n) block: the one Hermiticity test, single or in bulk."""
+    residual = np.abs(block - block.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return residual, tol.band(np.abs(block).max(axis=(-2, -1)))
 
 
 def herm_eigenvalues(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -109,10 +111,12 @@ def psd_from_spectrum(eigs, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
 
     The verdict allows a small negative slack, ``-(atol + rtol * max|eig|)``,
     so that rounding on true boundary cases does not produce false negatives.
+    A (B, n) block of spectra gets one verdict and one minimum per row, as arrays.
     """
     values = np.asarray(eigs, dtype=float)
-    min_eig = float(np.min(values))
-    return min_eig >= -tol.band(max_abs(values)), min_eig
+    min_eig = values.min(axis=-1)
+    psd = min_eig >= -tol.band(np.abs(values).max(axis=-1))
+    return (bool(psd), float(min_eig)) if values.ndim == 1 else (psd, min_eig)
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:

@@ -124,7 +124,12 @@ def represent(
     The values of a Hermitian operator are real up to rounding; the imaginary
     residue is checked and discarded.
     """
-    arr = _require_state_shape(rep, rho, tol)
+    return _represent_checked(rep, _require_state_shape(rep, rho, tol), tol)
+
+
+def _represent_checked(rep: QuasiProbRepresentation, arr: np.ndarray,
+                       tol: Tolerance) -> np.ndarray:
+    """:func:`represent` of a checked matrix; a batched einsum would change the bits."""
     mu = np.einsum("jab,ba->j", rep.fourier_ops, arr)
     imag = float(np.max(np.abs(mu.imag)))
     if imag > tol.derived_band(max(1.0, max_abs(mu))):
@@ -138,7 +143,11 @@ def characteristic(
     rep: QuasiProbRepresentation, rho, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
     """Characteristic function phi(g) = Tr(rho P_g) in element lexicographic order."""
-    arr = _require_state_shape(rep, rho, tol)
+    return _characteristic_checked(rep, _require_state_shape(rep, rho, tol))
+
+
+def _characteristic_checked(rep: QuasiProbRepresentation, arr: np.ndarray) -> np.ndarray:
+    """:func:`characteristic` of a checked matrix, one einsum per matrix."""
     return np.einsum("gab,ba->g", rep.frame.stack(), arr)
 
 
@@ -169,22 +178,27 @@ def gross_wigner_pure(amplitudes, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     and sum to 1. This route never touches the frame machinery, which makes it
     an independent check of the frame-based distribution.
     """
-    a = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    d = a.size
+    return _gross_wigner_rows(np.asarray(amplitudes, dtype=np.complex128).reshape(1, -1), tol)[0]
+
+
+def _gross_wigner_rows(rows: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """:func:`gross_wigner_pure` of each row of a (B, d) block, as a (B, d, d) block."""
+    d = rows.shape[1]
     if d < 2:
         raise InvalidDimension(f"need a state vector of length >= 2, got {d}")
     if d % 2 == 0:
         raise EvenDimension(f"the half-index convolution needs odd d, got {d}")
-    norm = float(np.vdot(a, a).real)
-    if abs(norm - 1.0) > tol.band(1.0):
-        raise NotNormalized(f"state vector norm^2 = {norm!r}, expected 1")
+    for row in rows:
+        norm = float(np.vdot(row, row).real)
+        if abs(norm - 1.0) > tol.band(1.0):
+            raise NotNormalized(f"state vector norm^2 = {norm!r}, expected 1")
     half = (d + 1) // 2
     q = np.arange(d)[:, None]
     s = np.arange(d)[None, :]
-    pairs = a[(q - s * half) % d] * a[(q + s * half) % d].conj()  # [q, s]
+    pairs = rows[:, (q - s * half) % d] * rows[:, (q + s * half) % d].conj()  # [., q, s]
     kernel = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)  # [s, p]
     table = pairs @ kernel / d
-    imag = float(np.max(np.abs(table.imag)))
+    imag = max_abs(table.imag)
     if imag > tol.derived_band(1.0):
         raise InternalInconsistency(f"Wigner table has imaginary residue {imag:.3e}")
     return table.real.copy()

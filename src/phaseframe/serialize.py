@@ -173,7 +173,10 @@ def _frame_from_json(data, tol: Tolerance, may_hold_bools: bool) -> ProjectiveFr
                 f"element {g} at position {pos} breaks lexicographic order "
                 f"(expected {group.elements[pos]})"
             )
-        op = matrix_from_json(payload)
+        try:
+            op = matrix_from_json(payload)
+        except FrameFileError as exc:
+            raise FrameFileError(f"element {g} at position {pos}: {exc}") from exc
         if op.shape != (dim, dim):
             raise FrameFileError(
                 f"operator at {g} has shape {op.shape}, frame dim is {dim}"

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from .errors import IndexOutOfRange, InternalInconsistency, InvalidDimension, NotOddPrime
-from .representation import gross_wigner_pure
+from .linalg import DEFAULT_TOL
+from .representation import _gross_wigner_rows
 
 __all__ = [
     "basis_state",
@@ -76,29 +77,24 @@ def stabilizer_states(d: int) -> list[np.ndarray]:
 
     Returns the d standard basis projectors followed by the d^2 quadratic-phase
     projectors, ordered by (a, b). Every returned state is verified to have an
-    entrywise nonnegative Wigner function and the list is verified to be
-    duplicate-free; either failure raises InternalInconsistency.
+    entrywise nonnegative Wigner function (down to ``-DEFAULT_TOL.band(1)``) and
+    the list is verified to be duplicate-free (no two states with
+    1 - |<u|v>|^2 within ``DEFAULT_TOL.band(1)``); either failure raises
+    InternalInconsistency.
     """
     d = _require_dim(d)
     if not _is_odd_prime(d):
         raise NotOddPrime(f"stabilizer family needs an odd prime dimension, got {d}")
-    vectors = [np.eye(d, dtype=np.complex128)[:, k] for k in range(d)]
-    vectors += [quadratic_phase_vector(d, a, b) for a in range(d) for b in range(d)]
-    projectors = []
-    for v in vectors:
-        if float(np.min(gross_wigner_pure(v))) < -1e-10:
-            raise InternalInconsistency(
-                "stabilizer candidate has a negative Wigner value"
-            )
-        projectors.append(np.outer(v, v.conj()))
-    stack = np.stack(projectors)
-    for i in range(len(stack) - 1):
-        (close,) = np.nonzero(np.abs(stack[i + 1:] - stack[i]).max(axis=(1, 2)) < 1e-6)
-        if close.size:
-            raise InternalInconsistency(
-                f"stabilizer states {i} and {i + 1 + close[0]} coincide as projectors"
-            )
-    return projectors
+    vectors = np.concatenate([np.eye(d, dtype=np.complex128), np.stack(
+        [quadratic_phase_vector(d, a, b) for a in range(d) for b in range(d)])])
+    if float(np.min(_gross_wigner_rows(vectors, DEFAULT_TOL))) < -DEFAULT_TOL.band(1.0):
+        raise InternalInconsistency("stabilizer candidate has a negative Wigner value")
+    overlaps = np.abs(vectors.conj() @ vectors.T) ** 2
+    first, second = np.nonzero(np.triu(1.0 - overlaps <= DEFAULT_TOL.band(1.0), k=1))
+    if first.size:
+        raise InternalInconsistency(f"stabilizer states {first[0]} and {second[0]} coincide "
+                                    "as projectors")
+    return list(vectors[:, :, None] * vectors[:, None, :].conj())
 
 
 def maximally_mixed(d: int) -> np.ndarray:

@@ -1,13 +1,20 @@
+import functools
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phaseframe as pf
+from phaseframe import bochner
 from phaseframe.errors import (
     CocycleMismatch,
     NonFinite,
     NotConjugateSymmetric,
     NotHermitian,
     NotNormalized,
+    PhaseFrameError,
     ShapeMismatch,
 )
 from phaseframe.frames import CocycleTable
@@ -339,3 +346,171 @@ def test_scan_fails_only_the_nan_row(weyl3_rep):
     assert result.rows[0].certificate.is_positively_representable
     assert result.rows[2].certificate.is_positively_representable
     assert result.n_valid == result.n_positive == 2
+
+
+# --------------------------------------------------------------------------
+# scan against certify_state, row by row
+
+
+@functools.cache
+def _scan_rep(name):
+    qubit = pf.qubit_frame()
+    frames = {"weyl3": lambda: pf.weyl_frame(3), "weyl5": lambda: pf.weyl_frame(5),
+              "leonhardt2": lambda: pf.leonhardt_frame(2),
+              "leonhardt3": lambda: pf.leonhardt_frame(3), "z2cubed": pf.z2cubed_frame,
+              "qubit2": lambda: pf.tensor_frame(qubit, qubit),
+              "qubit3": lambda: pf.tensor_frame(pf.tensor_frame(qubit, qubit), qubit)}
+    return pf.build_representation(frames[name]())
+
+
+def _scan_row(kind, d, seed):
+    """One scan input of the given kind; the invalid kinds each fail one check."""
+    rho = pf.random_density(d, seed)
+    k = seed % d
+    if kind == "pure":
+        return pf.random_pure(d, seed)
+    if kind == "herm":
+        return pf.random_hermitian_trace1(d, seed)
+    if kind == "basis":
+        return pf.basis_state(d, k)
+    if kind in ("nan", "inf"):
+        rho[k, (k + 1) % d] = np.nan if kind == "nan" else np.inf
+    elif kind == "non-hermitian":
+        rho[k, (k + 1) % d] += (1e-12, 1e-8, 0.1)[seed % 3]
+    elif kind == "nearly-hermitian":  # fails the Hermitian band, passes the symmetry one
+        rho = pf.maximally_mixed(d)
+        rho[k, (k + 1) % d] += 1.7e-9
+    elif kind == "asymmetric":  # passes the Hermitian band, fails the symmetry one
+        return pf.maximally_mixed(d) + 1e-9 * np.roll(np.eye(d), 1, axis=0)
+    elif kind == "non-normalized":
+        rho *= (1 + 1e-10, 1 + 1e-8, 2.0)[seed % 3]
+    elif kind == "wrong-dimension":
+        return pf.maximally_mixed(d + 1)
+    elif kind == "non-square":
+        return np.zeros((d, d + 1))
+    elif kind == "vector":
+        return np.ones(d) / d
+    elif kind == "ragged":
+        return [[1.0] * d] + [[0.0]] * (d - 1)
+    elif kind == "list":
+        return rho.tolist()
+    return rho
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _row_reference(rep, rho):
+    """A certificate for one state from the public row functions, in the row checks'
+    order; the dense build_mq stands for the twist check's bound."""
+    phi = pf.characteristic(rep, rho)
+    if abs(phi[0] - 1.0) > pf.DEFAULT_TOL.band(1.0):
+        raise NotNormalized(f"trace = {phi[0]:.12g}, expected 1")
+    mc_psd, mc_min = pf.psd_from_spectrum(pf.mc_spectrum(rep.group, phi))
+    pf.build_mq(rep.group, phi, pf.cocycle_table(rep.frame))
+    mq_psd, mq_min = pf.psd_from_spectrum(pf.mq_spectrum(rep.frame, phi))
+    state_psd, state_min = pf.psd_from_spectrum(pf.herm_eigenvalues(rho))
+    mu = pf.represent(rep, rho)
+    min_mu = float(np.min(mu))
+    oracle_positive = state_psd and min_mu >= -pf.DEFAULT_TOL.band(max(1.0, np.abs(mu).max()))
+    return pf.BochnerCertificate(
+        orders=rep.group.orders, phi=phi, mu=mu, tol=pf.DEFAULT_TOL, mc_min_eig=mc_min,
+        mq_min_eig=mq_min, is_quantum_state=mq_psd,
+        is_positively_representable=mq_psd and mc_psd,
+        boundary=not (state_psd == mq_psd and oracle_positive == (mq_psd and mc_psd)),
+        state_min_eig=state_min, min_mu=min_mu, oracle_agreement_state=state_psd == mq_psd,
+        oracle_agreement_positivity=oracle_positive == (mq_psd and mc_psd))
+
+
+def _assert_same_certificate(a, b):
+    assert a.orders == b.orders and a.tol == b.tol
+    assert a.phi.tobytes() == b.phi.tobytes() and a.mu.tobytes() == b.mu.tobytes()
+    for field in ("mc_min_eig", "mq_min_eig", "state_min_eig", "min_mu"):
+        assert _bits(getattr(a, field)) == _bits(getattr(b, field)), field
+    for field in ("is_quantum_state", "is_positively_representable", "boundary",
+                  "oracle_agreement_state", "oracle_agreement_positivity", "input_mu_min"):
+        assert getattr(a, field) is getattr(b, field), field
+
+
+ROW_KINDS = ["density", "pure", "herm", "basis", "list", "nan", "inf", "non-hermitian",
+             "nearly-hermitian", "asymmetric", "non-normalized", "wrong-dimension", "non-square",
+             "vector", "ragged"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame=st.sampled_from(["weyl3", "weyl5", "leonhardt2", "leonhardt3", "z2cubed",
+                              "qubit2", "qubit3"]),
+       rows=st.lists(st.tuples(st.sampled_from(ROW_KINDS), st.integers(0, 2**16)),
+                     max_size=10))
+def test_scan_rows_equal_certify_state_bit_for_bit(frame, rows):
+    # Each row also equals its certificate, or error, from the public row functions.
+    rep = _scan_rep(frame)
+    states = [_scan_row(kind, rep.dim, seed) for kind, seed in rows]
+    result = pf.scan(rep, states)
+    assert len(result.rows) == result.n_states == len(states)
+    certs = []
+    for row, rho in zip(result.rows, states):
+        try:
+            reference = _row_reference(rep, rho)
+        except PhaseFrameError as exc:
+            with pytest.raises(type(exc)) as caught:
+                pf.certify_state(rep, rho)
+            assert (row.certificate, row.error) == (None, str(exc)) == (None, str(caught.value))
+            continue
+        cert = pf.certify_state(rep, rho)
+        assert row.error is None
+        _assert_same_certificate(row.certificate, cert)
+        _assert_same_certificate(cert, reference)
+        certs.append(cert)
+    assert result.n_failed == len(states) - len(certs)
+    assert result.n_valid == sum(c.is_quantum_state for c in certs)
+    assert result.n_positive == sum(c.is_positively_representable for c in certs)
+    assert result.n_boundary == sum(c.boundary for c in certs)
+
+
+def test_scan_certifies_all_rows_in_one_batched_call(weyl3_rep, monkeypatch):
+    blocks = []
+    certify_block = bochner._certify_block
+    monkeypatch.setattr(bochner, "certify_state", None)
+    monkeypatch.setattr(bochner, "_certify_block",
+                        lambda rep, rows, *args: blocks.append(len(rows))
+                        or certify_block(rep, rows, *args))
+    states = pf.random_pure_family(3, 20, 1) + [2 * pf.maximally_mixed(3), _nan_state(3)]
+    result = pf.scan(weyl3_rep, states)
+    assert blocks == [20]
+    assert result.n_failed == 2 and result.n_valid == 20
+
+
+def test_scan_reports_a_twisted_cocycle_by_row(weyl3):
+    # Swap a perturbed cocycle into the frame's remembered invariant pass: build_mq
+    # rejects it for the rows with phi((1, 2)) != 0, and scan and certify_state agree.
+    frame = pf.ProjectiveFrame(group=weyl3.group, operators=weyl3.operators, dim=3)
+    rep = pf.build_representation(frame)
+    found = frame._verified[pf.DEFAULT_TOL]
+    values = np.array(found.cocycle.values)
+    values[1, 4] *= np.exp(1e-3j)
+    twisted = CocycleTable(group=frame.group, values=values)
+    frame._verified[pf.DEFAULT_TOL] = found._replace(cocycle=twisted)
+    states = [pf.random_density(3, 12), pf.maximally_mixed(3), pf.basis_state(3, 1),
+              pf.random_pure(3, 4)]
+    result = pf.scan(rep, states)
+    for i, (row, rho) in enumerate(zip(result.rows, states)):
+        if i in (0, 3):
+            with pytest.raises(CocycleMismatch) as caught:
+                pf.build_mq(frame.group, pf.characteristic(rep, rho), twisted)
+            assert (row.certificate, row.error) == (None, str(caught.value))
+            with pytest.raises(CocycleMismatch, match="not Hermitian at pair"):
+                pf.certify_state(rep, rho)
+        else:
+            _assert_same_certificate(row.certificate, pf.certify_state(rep, rho))
+    assert result.n_failed == 2
+
+
+def test_a_ragged_state_is_a_shape_error(weyl3_rep):
+    ragged = [[1.0, 0.0, 0.0], [0.0]]
+    with pytest.raises(ShapeMismatch, match="expected a nonempty 2-d matrix: "):
+        pf.certify_state(weyl3_rep, ragged)
+    result = pf.scan(weyl3_rep, [pf.maximally_mixed(3), ragged])
+    assert result.rows[1].error.startswith("expected a nonempty 2-d matrix")
+    assert result.rows[0].certificate.is_positively_representable

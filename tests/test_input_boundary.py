@@ -64,6 +64,7 @@ def _certify_distribution(tmp_path, weyl3_file, text):
 FRAME_CELL = ["elements", 0, "matrix", 0, 0, 0]
 STATE_CELL = ["matrix", 0, 0, 0]
 MATRIX_TYPES = "malformed matrix payload: expected JSON numbers, got a bool or a string"
+AT_ORIGIN = "element (0, 0) at position 0: "
 BOUNDARY_CASES = {
     # int() on these raised ValueError, TypeError or OverflowError
     "schema-string": (_certify_frame, _frame_text(["schema_version"], '"x"'),
@@ -108,12 +109,26 @@ BOUNDARY_CASES = {
                    "malformed group orders [3.5, 3]: expected a JSON integer, got 3.5"),
     # float() converted these matrix entries: "1.0" and true certified with exit 0,
     # "0.5" and false reached verification and exited 2
-    "frame-cell-string-1.0": (_certify_frame, _frame_text(FRAME_CELL, '"1.0"'), MATRIX_TYPES),
-    "frame-cell-string-0.5": (_certify_frame, _frame_text(FRAME_CELL, '"0.5"'), MATRIX_TYPES),
-    "frame-cell-true": (_certify_frame, _frame_text(FRAME_CELL, "true"), MATRIX_TYPES),
-    "frame-cell-false": (_certify_frame, _frame_text(FRAME_CELL, "false"), MATRIX_TYPES),
+    "frame-cell-string-1.0": (_certify_frame, _frame_text(FRAME_CELL, '"1.0"'),
+                              AT_ORIGIN + MATRIX_TYPES),
+    "frame-cell-string-0.5": (_certify_frame, _frame_text(FRAME_CELL, '"0.5"'),
+                              AT_ORIGIN + MATRIX_TYPES),
+    "frame-cell-true": (_certify_frame, _frame_text(FRAME_CELL, "true"), AT_ORIGIN + MATRIX_TYPES),
+    "frame-cell-false": (_certify_frame, _frame_text(FRAME_CELL, "false"),
+                         AT_ORIGIN + MATRIX_TYPES),
     "frame-all-bool-matrix": (_certify_frame, _frame_text(FRAME_CELL[:3], "[[[true, false]]]"),
-                              MATRIX_TYPES),
+                              AT_ORIGIN + MATRIX_TYPES),
+    # a malformed payload names its element and position
+    "frame-cell-string-at-4": (_certify_frame, _frame_text(["elements", 4, "matrix", 1, 1, 1],
+                                                           '"x"'),
+                               "element (1, 1) at position 4: " + MATRIX_TYPES),
+    "frame-matrix-shape-at-4": (_certify_frame, _frame_text(["elements", 4, "matrix"],
+                                                            "[[1.0, 0.0]]"),
+                                "element (1, 1) at position 4: matrix payload has shape (1, 2), "
+                                "expected (rows, cols, 2)"),
+    "frame-cell-nan-at-2": (_certify_frame, _frame_text(["elements", 2, "matrix", 1, 1, 0], "NaN"),
+                            "element (0, 2) at position 2: "
+                            "matrix payload contains non-finite values"),
     "state-cell-string-1.0": (_certify_state, _state_text('"1.0"', STATE_CELL), MATRIX_TYPES),
     "state-cell-true": (_certify_state, _state_text("true", STATE_CELL), MATRIX_TYPES),
     "state-cell-false": (_certify_state, _state_text("false", STATE_CELL), MATRIX_TYPES),

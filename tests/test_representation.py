@@ -9,6 +9,7 @@ from phaseframe.errors import (
     NotNormalized,
     ShapeMismatch,
 )
+from phaseframe.representation import _gross_wigner_rows
 
 
 # --------------------------------------------------------------------------
@@ -231,6 +232,24 @@ def test_wigner_rejects_even_dimension():
 def test_wigner_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         pf.gross_wigner_pure(np.array([1.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1)])
+def test_wigner_flattens_a_row_or_column_vector(shape):
+    v = pf.random_pure_vector(5, 11)
+    table = pf.gross_wigner_pure(v.reshape(shape))
+    assert table.shape == (5, 5)
+    np.testing.assert_array_equal(table, pf.gross_wigner_pure(v))
+    dual = pf.gross_as_dual_distribution(v.reshape(shape))
+    np.testing.assert_array_equal(dual, pf.gross_as_dual_distribution(v))
+
+
+def test_wigner_block_gives_each_row_its_single_vector_table():
+    vectors = np.stack([pf.random_pure_vector(7, 20 + k) for k in range(6)])
+    tables = _gross_wigner_rows(vectors, pf.DEFAULT_TOL)
+    assert tables.shape == (6, 7, 7)
+    for v, table in zip(vectors, tables):
+        np.testing.assert_array_equal(table, pf.gross_wigner_pure(v))
 
 
 def test_index_bijection_pinned_by_two_states(weyl3_rep):
