@@ -8,9 +8,11 @@ phi(g) = Tr(rho P_g) decide everything:
 * the cocycle-twisted translate matrix M[g, g'] = phi(g' g^-1) alpha(g^-1, g')
   is PSD exactly when rho itself is positive semidefinite.
 
-Certificates decide both from the exact spectra of these matrices, computed
-from phi in closed form (:func:`mc_spectrum`, :func:`mq_spectrum`); the dense
-matrices (:func:`build_mc`, :func:`build_mq`) stay as the reference route.
+Certificates decide both from the exact spectra of these matrices, computed in
+closed form from phi and the frame's operator stack (:func:`mc_spectrum`,
+:func:`mq_spectrum`), with the tests on phi that :func:`groups.classical_bochner_check`
+uses; they read no value of the cocycle alpha. The dense matrices (:func:`build_mc`,
+and :func:`build_mq` with its own Hermiticity check) stay as the reference route.
 Certificates also carry the direct spectral oracles (min eigenvalue of rho,
 min quasi-probability value); a disagreement between the two routes is
 reported, never reconciled silently.
@@ -26,16 +28,19 @@ import numpy as np
 from .errors import (
     CocycleMismatch,
     InternalInconsistency,
+    NonFinite,
     NotConjugateSymmetric,
     NotNormalized,
     PhaseFrameError,
     ShapeMismatch,
 )
-from .frames import CocycleTable, ProjectiveFrame, _verified_cocycle
+from .frames import CocycleTable, ProjectiveFrame, validate_frame
 from .groups import (
     FiniteAbelianGroup,
     _as_group_values,
-    _symmetry_residual,
+    _conjugate_symmetry,
+    _fourier_rows,
+    _normalization,
     translate_matrix,
 )
 from .linalg import DEFAULT_TOL, Tolerance, _hermitian_residual, max_abs, psd_from_spectrum
@@ -80,24 +85,12 @@ def _require_conjugate_symmetric(
     group: FiniteAbelianGroup, phi, tol: Tolerance
 ) -> np.ndarray:
     arr = _as_group_values(group, phi)
-    residual, band = _asymmetry(group, arr, tol)
-    if residual > band:
+    residual, symmetric = _conjugate_symmetry(group, arr, tol)
+    if not symmetric:
         raise NotConjugateSymmetric(
             f"phi(g^-1) != conj(phi(g)): residual {residual:.3e}"
         )
     return arr
-
-
-def _asymmetry(group: FiniteAbelianGroup, phi: np.ndarray, tol: Tolerance):
-    """max |phi(g^-1) - conj(phi(g))| and its band, ``band(max|phi|)``, for phi or
-    for each row of a (B, |G|) block: the one conjugate-symmetry test."""
-    return _symmetry_residual(group, phi), tol.band(np.abs(phi).max(axis=-1))
-
-
-def _off_trace(phi: np.ndarray, tol: Tolerance):
-    """Whether phi(e) = Tr(rho) is off 1 by more than ``band(1)``, for phi or for each
-    row of a (B, |G|) block: the one normalization test."""
-    return np.abs(phi[..., 0] - 1.0) > tol.band(1.0)
 
 
 def build_mc(
@@ -143,15 +136,8 @@ def mc_spectrum(group: FiniteAbelianGroup, phi, tol: Tolerance = DEFAULT_TOL) ->
     eigenvectors, and its eigenvalues are |G| times the Fourier transform of
     phi, which are real because phi is conjugate symmetric.
     """
-    return _mc_spectra(group, _require_conjugate_symmetric(group, phi, tol)[None])[0]
-
-
-def _mc_spectra(group: FiniteAbelianGroup, phi: np.ndarray) -> np.ndarray:
-    """:func:`mc_spectrum` of each row of a checked (B, |G|) block: one FFT over the
-    group axes, with the 1/|G| of ``groups.fourier_forward`` kept for its rounding."""
-    n, k = group.size, len(group.orders)
-    fourier = np.fft.fftn(phi.reshape(-1, *group.orders), axes=tuple(range(1, k + 1)))
-    return np.sort((n * (fourier.reshape(-1, n) / n)).real, axis=1)
+    arr = _require_conjugate_symmetric(group, phi, tol)
+    return np.sort((group.size * _fourier_rows(group, arr[None])[0]).real)
 
 
 def mq_spectrum(frame: ProjectiveFrame, phi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -166,10 +152,11 @@ def mq_spectrum(frame: ProjectiveFrame, phi, tol: Tolerance = DEFAULT_TOL) -> np
     traceless, and each operator occurs |K| = |G|/d^2 times up to a phase.
     So M_q is (|G|/d) R_rho on a copy of the matrix space plus 0 elsewhere:
     each eigenvalue of rho times |G|/d, d times over, and |G| - d^2 zeros.
-    rho itself is read from phi, as rho = (d/|G|) sum_g phi(g) P_g^dag.
+    rho itself is read from phi, as rho = (d/|G|) sum_g phi(g) P_g^dag. No value
+    of the cocycle is read; the frame's verification is the only gate.
     """
     arr = _require_conjugate_symmetric(frame.group, phi, tol)
-    _verified_cocycle(frame, tol)
+    validate_frame(frame, tol)
     return _mq_spectra(frame, arr[None])[0]
 
 
@@ -181,54 +168,39 @@ def _mq_spectra(frame: ProjectiveFrame, phi: np.ndarray) -> np.ndarray:
     # sum_g phi(g) P_g^dag is the adjoint of this sum_g conj(phi(g)) P_g.
     adj = (phi.conj()[:, None, :] @ frame.stack().reshape(n, d * d)).reshape(-1, d, d)
     rho = (d / n) * 0.5 * (adj.conj().transpose(0, 2, 1) + adj)
-    spectra = np.repeat((n / d) * np.linalg.eigvalsh(rho), d, axis=1)
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    rho[~finite] = 0  # LAPACK may fail on an overflowed rho; its spectrum reads NaN instead
+    eigs = np.where(finite[:, None], np.linalg.eigvalsh(rho), np.nan)
+    spectra = np.repeat((n / d) * eigs, d, axis=1)
     return np.sort(np.concatenate([spectra, np.zeros((len(phi), n - d * d))], axis=1), axis=1)
-
-
-def _require_hermitian_twist(group: FiniteAbelianGroup, phi: np.ndarray, cocycle: CocycleTable,
-                             tol: Tolerance) -> dict[int, CocycleMismatch]:
-    """What :func:`build_mq` raises for each row of a (B, |G|) block of phi, by row.
-
-    The deviation of M_q from Hermitian at (g, gh) is at most
-    |phi(h)| * twist_defect(h) + |phi(h) - conj(phi(h^-1))| * max|alpha|, an
-    O(|G|) bound per row. Only for a row past half of build_mq's limit, which
-    leaves room for rounding in the dense product, is M_q built.
-    """
-    bound = (np.abs(phi) * cocycle.twist_defect).max(axis=1)
-    bound += _symmetry_residual(group, phi) * max_abs(cocycle.values)
-    errors = {}
-    for i in np.flatnonzero(bound > 0.5 * tol.derived_band(np.abs(phi).max(axis=1))):
-        try:
-            build_mq(group, phi[i], cocycle, tol)
-        except CocycleMismatch as exc:
-            errors[int(i)] = exc
-    return errors
 
 
 def _row_error(rep: QuasiProbRepresentation, rho, tol: Tolerance) -> PhaseFrameError:
     """The error the row checks raise for a state a bulk test rejected: the tests
     are shared, so this only picks the message."""
     try:
-        phi = characteristic(rep, rho, tol)  # shape, finite, square, Hermitian, dimension
-        if _off_trace(phi, tol):
+        phi = characteristic(rep, rho, tol)  # shape, finite, square, Hermitian, dimension, phi
+        if not _normalization(phi, tol)[1]:
             raise NotNormalized(f"trace = {phi[0]:.12g}, expected 1")
-        _verified_cocycle(rep.frame, tol)
+        validate_frame(rep.frame, tol)
         _require_conjugate_symmetric(rep.group, phi, tol)
     except PhaseFrameError as exc:
         return exc
     raise InternalInconsistency("a state the bulk checks reject passes the row checks")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _certify_rows(
     rep: QuasiProbRepresentation, states: list, tol: Tolerance
 ) -> list[BochnerCertificate | PhaseFrameError]:
     """The certificate of each state, or the error :func:`certify_state` raises for it.
 
     States of the right shape are checked together, in the row checks' order and by
-    the tests they own (``_hermitian_residual``, ``_off_trace``, ``_asymmetry``); a max
-    of magnitudes is exact in any order, so a bulk test passes exactly the rows it
-    passes alone. A rejected state takes its error from :func:`_row_error`, the rest
-    one :func:`_certify_block`.
+    the tests they own (``_hermitian_residual``, ``groups._normalization``,
+    ``groups._conjugate_symmetry``); a max of magnitudes is exact in any order, so a
+    bulk test passes exactly the rows it passes alone. A rejected state takes its
+    error from :func:`_row_error`, the rest one :func:`_certify_block`. Entries too
+    large for phi or the spectra overflow to inf or NaN, and the row is NonFinite.
     """
     group, d = rep.group, rep.dim
     rows = {}
@@ -248,17 +220,13 @@ def _certify_rows(
     residual, band = _hermitian_residual(block, tol)
     keep(~(residual > band))
     phi = np.array([_characteristic_checked(rep, rows[i]) for i in live]).reshape(-1, group.size)
-    keep(~_off_trace(phi, tol))
+    keep(np.isfinite(phi).all(axis=1))
+    keep(_normalization(phi, tol)[1])
     out = {}
     if live.size:
-        cocycle = _verified_cocycle(rep.frame, tol)
-        residual, band = _asymmetry(group, phi, tol)
-        keep(~(residual > band))
-        twisted = _require_hermitian_twist(group, phi, cocycle, tol)
-        out = {int(live[j]): exc for j, exc in twisted.items()}
-        keep(~np.isin(np.arange(len(live)), list(twisted)))
-        certs = _certify_block(rep, [rows[i] for i in live], block, phi, tol)
-        out.update(zip(live.tolist(), certs))
+        validate_frame(rep.frame, tol)
+        keep(_conjugate_symmetry(group, phi, tol)[1])
+        out = dict(zip(live.tolist(), _certify_block(rep, [rows[i] for i in live], block, phi, tol)))
     return [out[i] if i in out else _row_error(rep, rho, tol) for i, rho in enumerate(states)]
 
 
@@ -270,12 +238,16 @@ def _certify_block(rep: QuasiProbRepresentation, rows: list, block: np.ndarray,
     oracles from rho's eigenvalues and mu, for all rows at once. Each batched step
     gives a row the bits it gets alone; mu is one einsum per row, as a batched one is not.
     """
-    mc_psd, mc_min = psd_from_spectrum(_mc_spectra(rep.group, phi), tol)
-    mq_psd, mq_min = psd_from_spectrum(_mq_spectra(rep.frame, phi), tol)
-    state_psd, state_min = psd_from_spectrum(np.linalg.eigvalsh(block), tol)
+    spectra = (_mq_spectra(rep.frame, phi),  # first: its temporaries are the largest
+               (rep.group.size * _fourier_rows(rep.group, phi)).real, np.linalg.eigvalsh(block))
+    finite = np.logical_and.reduce([np.isfinite(s).all(axis=1) for s in spectra])
+    (mq_psd, mq_min), (mc_psd, mc_min), (state_psd, state_min) = (
+        psd_from_spectrum(s, tol) for s in spectra)
     certs: list[BochnerCertificate | PhaseFrameError] = []
     for i, arr in enumerate(rows):
         try:
+            if not finite[i]:
+                raise NonFinite("certificate spectra overflow: the operator's entries are too large")
             mu = _represent_checked(rep, arr, tol)
         except PhaseFrameError as exc:
             certs.append(exc)
@@ -303,8 +275,8 @@ def certify_state(rep: QuasiProbRepresentation, rho,
     Both verdicts come from the spectra of the translate matrices, as by
     :func:`mc_spectrum` and :func:`mq_spectrum`, compared with the direct spectral
     oracles; ``boundary`` flags the two routes landing on opposite sides of a
-    threshold. The frame's verified cocycle, remembered with its invariant pass, is
-    the only one used. This is :func:`scan`'s batched certifier on one row.
+    threshold. Only phi and the frame's stack are read, once the frame passes its
+    remembered invariant pass. This is :func:`scan`'s batched certifier on one row.
     """
     (outcome,) = _certify_rows(rep, [rho], tol)
     if isinstance(outcome, PhaseFrameError):
@@ -312,6 +284,7 @@ def certify_state(rep: QuasiProbRepresentation, rho,
     return outcome
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def certify_distribution(
     rep: QuasiProbRepresentation,
     mu,
@@ -378,7 +351,7 @@ def scan(
     labels = [f"state[{i}]" for i in range(len(states))] if labels is None else list(labels)
     if len(labels) != len(states):
         raise ShapeMismatch(f"{len(labels)} labels for {len(states)} states")
-    _verified_cocycle(rep.frame, tol)  # a frame that fails does so once, not per row
+    validate_frame(rep.frame, tol)  # a frame that fails does so once, not per row
     outcomes = _certify_rows(rep, states, tol)
     certs = [c for c in outcomes if isinstance(c, BochnerCertificate)]
     rows = tuple(ScanRow(i, label, None, str(c)) if isinstance(c, PhaseFrameError) else

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Mapping, NamedTuple
 
 import numpy as np
@@ -32,7 +31,7 @@ from .errors import (
     NotAFrame,
     NotProjective,
 )
-from .groups import FiniteAbelianGroup, make_group
+from .groups import FiniteAbelianGroup, _integer_at_least, make_group
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, max_abs
 
 __all__ = [
@@ -118,19 +117,6 @@ class CocycleTable:
     def value(self, g, h) -> complex:
         return complex(self.values[self.group.index(g), self.group.index(h)])
 
-    @cached_property
-    def twist_defect(self) -> np.ndarray:
-        """Per difference h: max over g of |alpha(g^-1, gh) - conj(alpha((gh)^-1, g))|.
-
-        The twisted translate matrix of a conjugate-symmetric phi deviates
-        from Hermitian at the pair (g, gh) by |phi(h)| times this defect; it
-        is zero for the cocycle of a verified frame, up to rounding.
-        """
-        twist = self.values[self.group._inv, :]  # [g, g'] = alpha(g^-1, g')
-        deviation = np.abs(twist - twist.conj().T)
-        rows = np.arange(self.group.size)[:, None]
-        return deviation[rows, self.group._mul].max(axis=0)
-
 
 # --------------------------------------------------------------------------
 # elementary building blocks
@@ -155,8 +141,8 @@ def gen_pauli(d: int) -> tuple[np.ndarray, np.ndarray]:
     the cyclic shift |k> -> |k+1 mod d>, so that Z X = omega X Z and
     X^d = Z^d = identity.
     """
-    if int(d) != d or d < 2:
-        raise InvalidDimension(f"generalized Pauli matrices need integer d >= 2, got {d}")
+    d = _integer_at_least(d, 2, InvalidDimension,
+                          f"generalized Pauli matrices need integer d >= 2, got {d}")
     shift, clock = _shift_clock(d, [1], [1])
     return shift[0], clock[0]
 
@@ -317,12 +303,6 @@ def validate_frame(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> None
     _check(frame, tol, _FRAME_CHECKS)
 
 
-def _verified_cocycle(frame: ProjectiveFrame, tol: Tolerance) -> CocycleTable:
-    """The cocycle of a frame that passes both :func:`validate_frame` and
-    :func:`cocycle_table`; certificates read the frame itself, so they need both."""
-    return _check(frame, tol, _FRAME_CHECKS + _COCYCLE_CHECKS).cocycle
-
-
 # --------------------------------------------------------------------------
 # constructors
 
@@ -335,8 +315,7 @@ def weyl_frame(d: int, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
     unitary with P_g^-1 = P_{g^-1}; it has no analogue for even d, where the
     doubled phase space of :func:`leonhardt_frame` applies instead.
     """
-    if int(d) != d or d < 2:
-        raise InvalidDimension(f"need integer d >= 3, got {d}")
+    d = _integer_at_least(d, 2, InvalidDimension, f"need integer d >= 3, got {d}")
     if d % 2 == 0:
         raise EvenDimension(
             f"no half-integer phase exists for even d = {d}; use leonhardt_frame(d) "
@@ -372,10 +351,10 @@ def qubit_frame(signs=(1, 1, 1), tol: Tolerance = DEFAULT_TOL) -> ProjectiveFram
     qubit phase-space representations (flipping an even number of signs can be
     undone by a unitary, flipping an odd number cannot).
     """
-    sx, sz, sy = (int(s) for s in signs)
-    for s in (sx, sz, sy):
-        if s not in (1, -1):
-            raise InvalidDimension(f"signs must be +1 or -1, got {signs!r}")
+    try:
+        sx, sz, sy = ({1: 1, -1: -1}[s] for s in signs)
+    except (TypeError, ValueError, KeyError):  # not three entries, each +1 or -1
+        raise InvalidDimension(f"signs must be three entries of +1 or -1, got {signs!r}") from None
     group = make_group([2, 2])
     pauli = group._residues @ [1, 2]  # element (x, z)
     parity = sx * sz * sy
@@ -452,8 +431,7 @@ def leonhardt_frame(d: int, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
     convention in even dimension. The frame is unfaithful: the kernel contains
     the four elements with both residues in {0, d}.
     """
-    if int(d) != d or d < 2:
-        raise InvalidDimension(f"need integer d >= 2, got {d}")
+    d = _integer_at_least(d, 2, InvalidDimension, f"need integer d >= 2, got {d}")
     group = make_group([2 * d, 2 * d])
     tau = np.exp(-1j * np.pi * np.arange(2 * d) / d)
     j, l = group._residues.T

@@ -8,13 +8,14 @@ probability mass function.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatch, InternalInconsistency, InvalidOrder
+from .errors import GroupMismatch, InternalInconsistency, InvalidOrder, NonFinite, ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance, max_abs, psd_from_spectrum
 
 __all__ = [
@@ -107,18 +108,23 @@ class FiniteAbelianGroup:
         return tuple((-x) % n for x, n in zip(a, self.orders))
 
 
+def _integer_at_least(value, minimum: int, error: type, message: str) -> int:
+    """``value`` (3, 3.0, numpy.int64(3)) as an int >= ``minimum``, else ``error(message)``."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if (n := int(value)) == value and n >= minimum:
+            return n
+    raise error(message)
+
+
 def _checked_orders(orders) -> tuple[int, ...]:
     """Cyclic factor orders as ints, each >= 2, checked before any |G|-sized work."""
-    orders = tuple(int(n) for n in orders)
-    for n in orders:
-        if n < 2:
-            raise InvalidOrder(f"cyclic factor order must be >= 2, got {n}")
-    return orders
+    return tuple(_integer_at_least(n, 2, InvalidOrder, f"cyclic factor order must be >= 2, got {n}")
+                 for n in orders)
 
 
 def make_group(orders) -> FiniteAbelianGroup:
-    """Group with the given cyclic factor orders (each >= 2), as given."""
-    return FiniteAbelianGroup(tuple(int(n) for n in orders))
+    """Group with the given cyclic factor orders (each an integer >= 2), as given."""
+    return FiniteAbelianGroup(tuple(orders))
 
 
 def _root_exponents(group: FiniteAbelianGroup, j, g) -> tuple[np.ndarray, int]:
@@ -147,12 +153,38 @@ def character_table(group: FiniteAbelianGroup) -> np.ndarray:
 
 
 def _as_group_values(group: FiniteAbelianGroup, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+    """The one gate for a function on the group: complex numbers, one per element, finite."""
+    try:
+        arr = np.asarray(values, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+        raise ShapeMismatch(f"function values must be numbers: {exc}") from exc
     if arr.shape != (group.size,):
         raise GroupMismatch(
             f"function has {arr.shape} values, group has {group.size} elements"
         )
+    if not np.isfinite(arr).all():
+        raise NonFinite("function has NaN or infinite values")
     return arr
+
+
+def _fourier_rows(group: FiniteAbelianGroup, block: np.ndarray) -> np.ndarray:
+    """:func:`fourier_forward` of each row of a (B, |G|) block: one FFT over the group axes."""
+    axes = tuple(range(1, len(group.orders) + 1))
+    return np.fft.fftn(block.reshape(-1, *group.orders), axes=axes).reshape(-1, group.size) / group.size
+
+
+def _normalization(phi: np.ndarray, tol: Tolerance):
+    """|phi(e) - 1| and whether it is within ``band(1)``, NaN failing, for phi or each
+    row of a (B, |G|) block: the one normalization test."""
+    residual = np.abs(phi[..., 0] - 1.0)
+    return residual, residual <= tol.band(1.0)
+
+
+def _conjugate_symmetry(group: FiniteAbelianGroup, phi: np.ndarray, tol: Tolerance):
+    """max |phi(g^-1) - conj(phi(g))| and whether it is within ``band(max|phi|)``, NaN
+    failing, for phi or each row of a (B, |G|) block: the one conjugate-symmetry test."""
+    residual = np.abs(phi[..., group._inv] - phi.conj()).max(axis=-1)
+    return residual, residual <= tol.band(np.abs(phi).max(axis=-1))
 
 
 def fourier_forward(group: FiniteAbelianGroup, values) -> np.ndarray:
@@ -160,10 +192,9 @@ def fourier_forward(group: FiniteAbelianGroup, values) -> np.ndarray:
 
     The lexicographic order makes f a C-order array of shape ``group.orders``
     and chi_j(g) the kernel of numpy's multidimensional FFT, so this costs
-    O(|G| log |G|) with no character table. The trivial group is a 0-d array.
+    O(|G| log |G|) with no character table. The trivial group has no axes to transform.
     """
-    arr = _as_group_values(group, values)
-    return np.fft.fftn(arr.reshape(group.orders)).ravel() / group.size
+    return _fourier_rows(group, _as_group_values(group, values)[None])[0]
 
 
 def fourier_inverse(group: FiniteAbelianGroup, values) -> np.ndarray:
@@ -195,12 +226,6 @@ class ClassicalBochnerResult:
     symmetry_residual: float
 
 
-def _symmetry_residual(group: FiniteAbelianGroup, arr: np.ndarray):
-    """max |f(g^-1) - conj(f(g))| over the group; 0 for a conjugate-symmetric f.
-    A (B, |G|) block of functions gets one residual per row."""
-    return np.abs(arr[..., group._inv] - arr.conj()).max(axis=-1)
-
-
 def classical_bochner_check(
     group: FiniteAbelianGroup, phi, tol: Tolerance = DEFAULT_TOL
 ) -> ClassicalBochnerResult:
@@ -213,15 +238,10 @@ def classical_bochner_check(
     violation raises InternalInconsistency.
     """
     arr = _as_group_values(group, phi)
-    scale = max_abs(arr)
-    band = tol.band(scale)
+    symmetry_residual, symmetric = _conjugate_symmetry(group, arr, tol)
+    identity_residual, normalized = _normalization(arr, tol)
 
-    symmetry_residual = float(_symmetry_residual(group, arr))
-    identity_residual = abs(arr[0] - 1.0)
-    symmetric = symmetry_residual <= band
-    normalized = identity_residual <= tol.band(1.0)
-
-    mu_complex = fourier_forward(group, arr)
+    mu_complex = _fourier_rows(group, arr[None])[0]
     mu = mu_complex.real.copy()
     min_mu = float(np.min(mu))
 
@@ -230,7 +250,7 @@ def classical_bochner_check(
     else:
         psd, translate_min_eig = False, float("nan")
 
-    accepted = symmetric and normalized and psd
+    accepted = bool(symmetric and normalized and psd)
     if accepted:
         mu_band = tol.derived_band(max(1.0, max_abs(mu_complex)))
         if (

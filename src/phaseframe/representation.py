@@ -21,6 +21,7 @@ from .errors import (
     EvenDimension,
     InternalInconsistency,
     InvalidDimension,
+    NonFinite,
     NotHermitian,
     NotNormalized,
     ShapeMismatch,
@@ -142,8 +143,12 @@ def _represent_checked(rep: QuasiProbRepresentation, arr: np.ndarray,
 def characteristic(
     rep: QuasiProbRepresentation, rho, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
-    """Characteristic function phi(g) = Tr(rho P_g) in element lexicographic order."""
-    return _characteristic_checked(rep, _require_state_shape(rep, rho, tol))
+    """Characteristic function phi(g) = Tr(rho P_g) in element lexicographic order;
+    NonFinite for a finite operator whose phi overflows."""
+    phi = _characteristic_checked(rep, _require_state_shape(rep, rho, tol))
+    if not np.isfinite(phi).all():
+        raise NonFinite("characteristic function overflows: the operator's entries are too large")
+    return phi
 
 
 def _characteristic_checked(rep: QuasiProbRepresentation, arr: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .bochner import BochnerCertificate
 from .errors import FrameFileError, ShapeMismatch
 from .frames import ProjectiveFrame, validate_frame
-from .groups import FiniteAbelianGroup, _checked_orders, make_group
+from .groups import FiniteAbelianGroup, _as_group_values, _checked_orders, make_group
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -357,11 +357,7 @@ def load_distribution_csv(path, group: FiniteAbelianGroup, *, with_sha256: bool 
 
 def phi_csv_bytes(group: FiniteAbelianGroup, phi) -> bytes:
     """CSV of a characteristic function: ``element_tuple,re,im`` per group element."""
-    values = np.asarray(phi, dtype=np.complex128)
-    if values.shape != (group.size,):
-        raise ShapeMismatch(
-            f"characteristic function has shape {values.shape}, expected ({group.size},)"
-        )
+    values = _as_group_values(group, phi)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["element_tuple", "re", "im"])

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .errors import IndexOutOfRange, InternalInconsistency, InvalidDimension, NotOddPrime
+from .groups import _integer_at_least
 from .linalg import DEFAULT_TOL
 from .representation import _gross_wigner_rows
 
@@ -30,9 +31,7 @@ __all__ = [
 
 
 def _require_dim(d: int) -> int:
-    if int(d) != d or d < 2:
-        raise InvalidDimension(f"need integer dimension >= 2, got {d}")
-    return int(d)
+    return _integer_at_least(d, 2, InvalidDimension, f"need integer dimension >= 2, got {d}")
 
 
 def basis_state(d: int, k: int) -> np.ndarray:

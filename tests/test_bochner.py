@@ -375,6 +375,9 @@ def _scan_row(kind, d, seed):
         return pf.basis_state(d, k)
     if kind in ("nan", "inf"):
         rho[k, (k + 1) % d] = np.nan if kind == "nan" else np.inf
+    elif kind == "huge":  # finite, but phi or the spectra may overflow
+        rho[k, (k + 1) % d] = (1e305, 3e307, 1e308, 1.7e308)[seed % 4]
+        rho[(k + 1) % d, k] = np.conj(rho[k, (k + 1) % d])
     elif kind == "non-hermitian":
         rho[k, (k + 1) % d] += (1e-12, 1e-8, 0.1)[seed % 3]
     elif kind == "nearly-hermitian":  # fails the Hermitian band, passes the symmetry one
@@ -403,14 +406,17 @@ def _bits(x):
 
 def _row_reference(rep, rho):
     """A certificate for one state from the public row functions, in the row checks'
-    order; the dense build_mq stands for the twist check's bound."""
+    order; the dense build_mq runs on every valid row as the oracle for M_q."""
     phi = pf.characteristic(rep, rho)
     if abs(phi[0] - 1.0) > pf.DEFAULT_TOL.band(1.0):
         raise NotNormalized(f"trace = {phi[0]:.12g}, expected 1")
-    mc_psd, mc_min = pf.psd_from_spectrum(pf.mc_spectrum(rep.group, phi))
-    pf.build_mq(rep.group, phi, pf.cocycle_table(rep.frame))
-    mq_psd, mq_min = pf.psd_from_spectrum(pf.mq_spectrum(rep.frame, phi))
-    state_psd, state_min = pf.psd_from_spectrum(pf.herm_eigenvalues(rho))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectra = (pf.mc_spectrum(rep.group, phi), pf.mq_spectrum(rep.frame, phi),
+                   pf.herm_eigenvalues(rho))
+        pf.build_mq(rep.group, phi, pf.cocycle_table(rep.frame))
+    if not all(np.isfinite(s).all() for s in spectra):
+        raise NonFinite("certificate spectra overflow: the operator's entries are too large")
+    (mc_psd, mc_min), (mq_psd, mq_min), (state_psd, state_min) = map(pf.psd_from_spectrum, spectra)
     mu = pf.represent(rep, rho)
     min_mu = float(np.min(mu))
     oracle_positive = state_psd and min_mu >= -pf.DEFAULT_TOL.band(max(1.0, np.abs(mu).max()))
@@ -433,7 +439,7 @@ def _assert_same_certificate(a, b):
         assert getattr(a, field) is getattr(b, field), field
 
 
-ROW_KINDS = ["density", "pure", "herm", "basis", "list", "nan", "inf", "non-hermitian",
+ROW_KINDS = ["density", "pure", "herm", "basis", "list", "nan", "inf", "huge", "non-hermitian",
              "nearly-hermitian", "asymmetric", "non-normalized", "wrong-dimension", "non-square",
              "vector", "ragged"]
 
@@ -482,29 +488,24 @@ def test_scan_certifies_all_rows_in_one_batched_call(weyl3_rep, monkeypatch):
     assert result.n_failed == 2 and result.n_valid == 20
 
 
-def test_scan_reports_a_twisted_cocycle_by_row(weyl3):
+def test_certificates_read_no_value_of_the_cocycle(weyl3, weyl3_rep):
     # Swap a perturbed cocycle into the frame's remembered invariant pass: build_mq
-    # rejects it for the rows with phi((1, 2)) != 0, and scan and certify_state agree.
+    # rejects it, but certify_state and scan keep the untouched frame's bits.
     frame = pf.ProjectiveFrame(group=weyl3.group, operators=weyl3.operators, dim=3)
     rep = pf.build_representation(frame)
     found = frame._verified[pf.DEFAULT_TOL]
-    values = np.array(found.cocycle.values)
-    values[1, 4] *= np.exp(1e-3j)
-    twisted = CocycleTable(group=frame.group, values=values)
+    noise = np.random.default_rng(5).standard_normal(found.cocycle.values.shape)
+    twisted = CocycleTable(group=frame.group, values=found.cocycle.values * np.exp(0.1j * noise))
     frame._verified[pf.DEFAULT_TOL] = found._replace(cocycle=twisted)
     states = [pf.random_density(3, 12), pf.maximally_mixed(3), pf.basis_state(3, 1),
-              pf.random_pure(3, 4)]
-    result = pf.scan(rep, states)
-    for i, (row, rho) in enumerate(zip(result.rows, states)):
-        if i in (0, 3):
-            with pytest.raises(CocycleMismatch) as caught:
-                pf.build_mq(frame.group, pf.characteristic(rep, rho), twisted)
-            assert (row.certificate, row.error) == (None, str(caught.value))
-            with pytest.raises(CocycleMismatch, match="not Hermitian at pair"):
-                pf.certify_state(rep, rho)
-        else:
-            _assert_same_certificate(row.certificate, pf.certify_state(rep, rho))
-    assert result.n_failed == 2
+              pf.random_pure(3, 4), pf.random_hermitian_trace1(3, 7)]
+    result, untouched = pf.scan(rep, states), pf.scan(weyl3_rep, states)
+    assert pf.cocycle_table(frame) is twisted and result.n_failed == untouched.n_failed == 0
+    for row, reference, rho in zip(result.rows, untouched.rows, states):
+        _assert_same_certificate(row.certificate, reference.certificate)
+        _assert_same_certificate(pf.certify_state(rep, rho), reference.certificate)
+        with pytest.raises(CocycleMismatch, match="not Hermitian at pair"):
+            pf.build_mq(frame.group, pf.characteristic(rep, rho), twisted)
 
 
 def test_a_ragged_state_is_a_shape_error(weyl3_rep):

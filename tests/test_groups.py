@@ -1,13 +1,25 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phaseframe as pf
-from phaseframe.errors import GroupMismatch, InvalidOrder
+from phaseframe import groups
+from phaseframe.errors import (
+    GroupMismatch,
+    InvalidDimension,
+    InvalidOrder,
+    NonFinite,
+    NotConjugateSymmetric,
+    ShapeMismatch,
+)
 from phaseframe.groups import MAX_GROUP_SIZE
 from phaseframe.linalg import is_psd
+from phaseframe.serialize import phi_csv_bytes
 
 
 def test_make_group_sizes():
@@ -21,6 +33,39 @@ def test_make_group_rejects_small_orders():
         pf.make_group([1])
     with pytest.raises(InvalidOrder):
         pf.make_group([3, 0])
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: pf.make_group([3, 2.5]), InvalidOrder),
+    (lambda: pf.make_group(["a"]), InvalidOrder),
+    (lambda: pf.make_group([float("nan")]), InvalidOrder),
+    (lambda: pf.make_group([None, 3]), InvalidOrder),
+    (lambda: pf.weyl_frame(5.5), InvalidDimension),
+    (lambda: pf.weyl_frame("5"), InvalidDimension),
+    (lambda: pf.leonhardt_frame(2.5), InvalidDimension),
+    (lambda: pf.leonhardt_frame(None), InvalidDimension),
+    (lambda: pf.gen_pauli(3.5), InvalidDimension),
+    (lambda: pf.gen_pauli("3"), InvalidDimension),
+    (lambda: pf.maximally_mixed(float("inf")), InvalidDimension),
+    (lambda: pf.qubit_frame((1, 1)), InvalidDimension),
+    (lambda: pf.qubit_frame((1, 1, 1, 1)), InvalidDimension),
+    (lambda: pf.qubit_frame((1, 1, 1.5)), InvalidDimension),
+    (lambda: pf.qubit_frame((1, "1", 1)), InvalidDimension),
+    (lambda: pf.qubit_frame(1), InvalidDimension),
+])
+def test_a_size_that_is_not_an_integer_is_a_library_error(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_integer_valued_sizes_build_what_the_int_builds():
+    for orders in ([3.0], [np.int64(3), 2.0]):
+        assert pf.make_group(orders).orders == tuple(int(n) for n in orders)
+    assert pf.weyl_frame(5.0).stack().tobytes() == pf.weyl_frame(5).stack().tobytes()
+    assert pf.leonhardt_frame(np.int64(2)).stack().tobytes() == pf.leonhardt_frame(2).stack().tobytes()
+    assert pf.gen_pauli(3.0)[0].tobytes() == pf.gen_pauli(3)[0].tobytes()
+    signs = np.array([1.0, -1.0, 1.0])
+    assert pf.qubit_frame(signs).metadata == pf.qubit_frame((1, -1, 1)).metadata
 
 
 @pytest.mark.parametrize("orders", [[1048576, 1048576], [MAX_GROUP_SIZE + 1], [2] * 13])
@@ -289,3 +334,82 @@ def test_classical_bochner_spectrum_matches_the_dense_translate_matrix(group, ph
     normalized = abs(phi[0] - 1.0) <= pf.DEFAULT_TOL.band(1.0)
     assert result.accepted == (psd and normalized)
     assert result.translate_min_eig == pytest.approx(min_eig, abs=1e-12)
+
+
+# --------------------------------------------------------------------------
+# one gate and one owner per test for functions on the group
+
+
+WEYL3 = pf.weyl_frame(3)
+GROUP_FUNCTIONS = {
+    "fourier_forward": lambda f: pf.fourier_forward(WEYL3.group, f),
+    "fourier_inverse": lambda f: pf.fourier_inverse(WEYL3.group, f),
+    "translate_matrix": lambda f: pf.translate_matrix(WEYL3.group, f),
+    "classical_bochner_check": lambda f: pf.classical_bochner_check(WEYL3.group, f),
+    "mc_spectrum": lambda f: pf.mc_spectrum(WEYL3.group, f),
+    "build_mc": lambda f: pf.build_mc(WEYL3.group, f),
+    "build_mq": lambda f: pf.build_mq(WEYL3.group, f, pf.cocycle_table(WEYL3)),
+    "mq_spectrum": lambda f: pf.mq_spectrum(WEYL3, f),
+    "phi_csv_bytes": lambda f: phi_csv_bytes(WEYL3.group, f),
+}
+BAD_FUNCTIONS = {
+    "nan": (np.r_[1.0, np.nan, np.ones(7)], NonFinite),
+    "inf": (np.r_[1.0, np.ones(7), np.inf], NonFinite),
+    "string": (["x"] * 9, ShapeMismatch),
+    "ragged": ([1.0] * 8 + [[1.0, 2.0]], ShapeMismatch),
+    "mapping": ({"a": 1.0}, ShapeMismatch),
+    "short": (np.ones(4), GroupMismatch),
+}
+
+
+@pytest.mark.parametrize("name", GROUP_FUNCTIONS)
+@pytest.mark.parametrize("case", BAD_FUNCTIONS)
+def test_a_bad_function_on_the_group_is_a_library_error(name, case):
+    values, error = BAD_FUNCTIONS[case]
+    with pytest.raises(error):
+        GROUP_FUNCTIONS[name](values)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders=st.sampled_from([(3,), (2, 2), (3, 3), (4, 2), (2, 2, 2)]),
+       seed=st.integers(0, 2**32 - 1),
+       trace=st.sampled_from([0.0, 1e-10, 2e-9, 1e-3]),
+       asymmetry=st.sampled_from([0.0, 1e-10, 3e-9, 1e-3]),
+       nan=st.sampled_from([None, 0, 1]))
+def test_classical_check_and_certificate_tests_share_their_decisions(
+        orders, seed, trace, asymmetry, nan):
+    # The certificate's bulk path applies the owners to a block; the classical
+    # check applies them to one phi. Both must decide alike, NaN failing.
+    group = pf.make_group(orders)
+    rng = np.random.default_rng(seed)
+    pmf = rng.random(group.size) - (0.3 if seed % 2 else 0.0)
+    phi = pf.fourier_inverse(group, pmf / pmf.sum())
+    phi[0] += trace
+    phi[-1] += asymmetry * 1j
+    if nan is not None:
+        phi[nan] = np.nan
+    block = np.stack([phi, pf.fourier_inverse(group, np.full(group.size, 1 / group.size))])
+    identity, normalized = groups._normalization(block, pf.DEFAULT_TOL)
+    symmetry, symmetric = groups._conjugate_symmetry(group, block, pf.DEFAULT_TOL)
+    assert normalized[1] and symmetric[1]
+    if nan is not None:
+        assert not symmetric[0] and (nan != 0 or not normalized[0])
+        for check in (pf.classical_bochner_check, pf.mc_spectrum):
+            with pytest.raises(NonFinite):
+                check(group, phi)
+        return
+    result = pf.classical_bochner_check(group, phi)
+    assert _bits(result.identity_residual) == _bits(identity[0])
+    assert _bits(result.symmetry_residual) == _bits(symmetry[0])
+    if not symmetric[0]:
+        assert np.isnan(result.translate_min_eig) and not result.accepted
+        with pytest.raises(NotConjugateSymmetric):
+            pf.mc_spectrum(group, phi)
+        return
+    spectrum = pf.mc_spectrum(group, phi)
+    assert _bits(result.translate_min_eig) == _bits(spectrum[0])
+    assert result.accepted == bool(normalized[0] and pf.psd_from_spectrum(spectrum)[0])

@@ -6,6 +6,7 @@ import io
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import phaseframe as pf
 from phaseframe import serialize
 from phaseframe.cli import main
-from phaseframe.errors import FrameFileError
+from phaseframe.errors import FrameFileError, NonFinite
 
 PLACEHOLDER = '"@@"'  # stands for a raw JSON literal that json.dumps cannot write
 
@@ -61,10 +62,26 @@ def _certify_distribution(tmp_path, weyl3_file, text):
     return ["certify", "--frame", str(weyl3_file), "--distribution", str(path)]
 
 
+def _huge_state_text(cells):
+    rho = pf.maximally_mixed(3)
+    for (a, b), value in cells.items():
+        rho[a, b] = rho[b, a] = value
+    return json.dumps(serialize.state_to_json(rho))
+
+
+def _distribution_text(**values):
+    mu = np.zeros(9)
+    for key, value in values.items():
+        mu[int(key[1:])] = value
+    return serialize.distribution_csv_bytes(pf.make_group([3, 3]), mu).decode()
+
+
 FRAME_CELL = ["elements", 0, "matrix", 0, 0, 0]
 STATE_CELL = ["matrix", 0, 0, 0]
 MATRIX_TYPES = "malformed matrix payload: expected JSON numbers, got a bool or a string"
 AT_ORIGIN = "element (0, 0) at position 0: "
+PHI_OVERFLOW = "characteristic function overflows: the operator's entries are too large"
+SPECTRA_OVERFLOW = "certificate spectra overflow: the operator's entries are too large"
 BOUNDARY_CASES = {
     # int() on these raised ValueError, TypeError or OverflowError
     "schema-string": (_certify_frame, _frame_text(["schema_version"], '"x"'),
@@ -132,6 +149,23 @@ BOUNDARY_CASES = {
     "state-cell-string-1.0": (_certify_state, _state_text('"1.0"', STATE_CELL), MATRIX_TYPES),
     "state-cell-true": (_certify_state, _state_text("true", STATE_CELL), MATRIX_TYPES),
     "state-cell-false": (_certify_state, _state_text("false", STATE_CELL), MATRIX_TYPES),
+    # finite entries whose phi or spectra overflow certified as NaN (exit 3) with
+    # RuntimeWarnings, and an overflowing sum warned
+    "state-phi-overflows": (_certify_state, _huge_state_text({(0, 1): 1e308, (1, 2): 1e308}),
+                            PHI_OVERFLOW),
+    "state-spectra-overflow": (_certify_state, _huge_state_text({(0, 1): 1e308}), SPECTRA_OVERFLOW),
+    # phi((2, 0)) overflows but phi((1, 0)) does not, and their residual passes its inf band
+    "state-phi-overflows-on-one-side": (_certify_state, _huge_state_text(
+        {(0, 1): 9e307, (1, 2): 9e307, (2, 0): -5e307}), PHI_OVERFLOW),
+    "distribution-phi-overflows": (_certify_distribution,
+                                   _distribution_text(j1=1.0, j2=1.7e308, j3=-1.7e308),
+                                   PHI_OVERFLOW),
+    "distribution-spectra-overflow": (_certify_distribution,
+                                      _distribution_text(j0=1e308, j6=-1e308, j8=1.0),
+                                      SPECTRA_OVERFLOW),
+    "distribution-sum-overflows": (_certify_distribution,
+                                   _distribution_text(j1=1.7e308, j5=1.0, j7=1.7e308, j8=-1.7e308),
+                                   "distribution sums to inf, expected 1"),
 }
 
 
@@ -143,6 +177,25 @@ def test_malformed_input_file_exits_one_with_one_error_line(case, tmp_path, weyl
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_a_qubit_state_whose_phi_overflows_is_one_error_in_certify_and_scan(tmp_path):
+    frame, state, out = tmp_path / "qubit.json", tmp_path / "state.json", tmp_path / "cert.json"
+    rho = np.array([[0.5, 1e308], [1e308, 0.5]])
+    assert main(["frame", "build", "qubit", "--out", str(frame)]) == 0
+    serialize.save_state(rho, state)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["certify", "--frame", str(frame), "--state-file", str(state), "--out", str(out)])
+    assert (code, err.getvalue(), out.exists()) == (1, f"error: {PHI_OVERFLOW}\n", False)
+    rep = pf.build_representation(pf.qubit_frame())
+    states = [rho, np.array([[0.5, 5e307], [5e307, 0.5]]), pf.maximally_mixed(2)]
+    rows = pf.scan(rep, states).rows
+    for row, rho, message in zip(rows, states, (PHI_OVERFLOW, SPECTRA_OVERFLOW)):
+        with pytest.raises(NonFinite, match=message):
+            pf.certify_state(rep, rho)
+        assert (row.certificate, row.error) == (None, message)
+    assert rows[2].certificate.is_positively_representable
 
 
 def test_a_bool_outside_the_matrices_still_loads(tmp_path, weyl3_file, capsys):

@@ -13,9 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phaseframe as pf
-from phaseframe import bochner
-from phaseframe.errors import CocycleMismatch, NotAFrame, NotProjective
-from phaseframe.frames import CocycleTable
+from phaseframe.errors import NotAFrame, NotProjective
 from phaseframe.representation import QuasiProbRepresentation
 
 BUILDERS = {
@@ -89,6 +87,9 @@ def test_closed_form_spectra_match_dense(name):
     for label, rho in states_for(frame.dim):
         phi = pf.characteristic(rep, rho)
         mc_eigs, mq_eigs = dense_spectra(rep, rho)
+        # |G| times one unbatched FFT with its 1/|G| kept, bit for bit
+        n, fourier = frame.group.size, np.fft.fftn(phi.reshape(frame.group.orders)).ravel()
+        assert pf.mc_spectrum(frame.group, phi).tobytes() == np.sort((n * (fourier / n)).real).tobytes()
         assert_same_spectrum(pf.mc_spectrum(frame.group, phi), mc_eigs)
         assert_same_spectrum(pf.mq_spectrum(frame, phi), mq_eigs)
         assert_verdicts_match_dense(rep, rho, label, dense=(mc_eigs, mq_eigs))
@@ -172,41 +173,3 @@ def test_an_unverified_non_spanning_frame_fails(qubit_rep):
     rep = _unverified_rep(qubit_rep, (np.eye(2), z, np.eye(2), z))
     with pytest.raises(NotAFrame):
         pf.certify_state(rep, pf.maximally_mixed(2))
-
-
-def _twist_rows_match_build_mq(rep, cell, angle):
-    group = rep.group
-    states = [pf.random_density(3, 12), pf.maximally_mixed(3), pf.basis_state(3, 1),
-              pf.random_pure(3, 4)]
-    phi = np.stack([pf.characteristic(rep, rho) for rho in states])
-    values = np.array(pf.cocycle_table(rep.frame).values)
-    values[cell] *= np.exp(1j * angle)
-    cocycle = CocycleTable(group=group, values=values)
-    errors = bochner._require_hermitian_twist(group, phi, cocycle, pf.DEFAULT_TOL)
-    expected = {}
-    for i, row in enumerate(phi):
-        try:
-            pf.build_mq(group, row, cocycle)
-        except CocycleMismatch as exc:
-            expected[i] = str(exc)
-    assert {i: str(exc) for i, exc in errors.items()} == expected
-    assert all("not Hermitian" in message for message in expected.values())
-    return sorted(expected)
-
-
-@pytest.mark.parametrize("angle", [0.0, 1e-12, 3e-9, 6e-9, 9.9e-9, 1e-8, 3e-8, 1e-3])
-def test_twist_check_raises_exactly_when_build_mq_does(weyl3_rep, angle):
-    # The batched check on a block of four states. The bound comes to about
-    # 2 * angle against build_mq's limit of 2e-8 on every row, as cell (1, 2)
-    # twists h = e, where |phi| = 1, so the angles cover skipping the dense
-    # build, building it without raising (6e-9, 9.9e-9), and raising.
-    raised = _twist_rows_match_build_mq(weyl3_rep, (1, 2), angle)
-    assert raised == ([0, 1, 2, 3] if angle >= 1e-8 else [])
-
-
-@pytest.mark.parametrize("angle", [3e-8, 6e-8, 1e-7, 1e-3])
-def test_twist_check_splits_a_block_by_row(weyl3_rep, angle):
-    # Cell (1, 4) twists h = (1, 2), where |phi(h)| is 0.40, 0, 0 and 0.29 on
-    # the four rows, so one block holds rows on both sides.
-    raised = _twist_rows_match_build_mq(weyl3_rep, (1, 4), angle)
-    assert raised == {3e-8: [], 6e-8: [0], 1e-7: [0, 3], 1e-3: [0, 3]}[angle]
