@@ -37,6 +37,7 @@ from .errors import (
 from .frames import CocycleTable, ProjectiveFrame, validate_frame
 from .groups import (
     FiniteAbelianGroup,
+    _as_distribution,
     _as_group_values,
     _conjugate_symmetry,
     _fourier_rows,
@@ -297,16 +298,7 @@ def certify_distribution(
     of the given values is recorded on the certificate; for distributions in
     the range of the representation it must match the translate-matrix verdict.
     """
-    values = np.asarray(mu)
-    if np.iscomplexobj(values):
-        if values.size and float(np.max(np.abs(values.imag))) > tol.band(1.0):
-            raise ShapeMismatch("distribution values must be real")
-        values = values.real
-    values = values.astype(float)
-    if values.shape != (rep.group.size,):
-        raise ShapeMismatch(
-            f"distribution has shape {values.shape}, expected ({rep.group.size},)"
-        )
+    values = _as_distribution(rep.group, mu, tol)
     total = float(np.sum(values))
     if abs(total - 1.0) > tol.band(1.0):
         raise NotNormalized(f"distribution sums to {total!r}, expected 1")

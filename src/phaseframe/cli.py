@@ -26,7 +26,7 @@ import numpy as np
 
 from . import states as state_lib
 from .bochner import certify_distribution, certify_state, scan
-from .errors import FrameFileError, PhaseFrameError
+from .errors import FrameFileError, NonFinite, PhaseFrameError
 from .frames import (
     frame_report,
     leonhardt_frame,
@@ -195,11 +195,16 @@ def cmd_represent(args) -> int:
     rho, _ = _state_from_args(args, frame.dim)
     rep = build_representation(frame, DEFAULT_TOL)
     mu = represent(rep, rho, DEFAULT_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(mu)
+    if not np.isfinite(total):
+        raise NonFinite("quasi-probability total overflows: the operator's entries are too large")
+    # Every value is computed and checked before the first file is written.
+    phi_csv = phi_csv_bytes(frame.group, characteristic(rep, rho, DEFAULT_TOL)) if args.phi else b""
     Path(args.out).write_bytes(distribution_csv_bytes(frame.group, mu))
-    print(f"wrote {args.out}: {frame.group.size} rows, total = {np.sum(mu):.12g}")
+    print(f"wrote {args.out}: {frame.group.size} rows, total = {total:.12g}")
     if args.phi:
-        phi = characteristic(rep, rho, DEFAULT_TOL)
-        Path(args.phi).write_bytes(phi_csv_bytes(frame.group, phi))
+        Path(args.phi).write_bytes(phi_csv)
         print(f"wrote {args.phi}")
     return EXIT_OK
 

@@ -167,6 +167,26 @@ def _as_group_values(group: FiniteAbelianGroup, values) -> np.ndarray:
     return arr
 
 
+def _as_distribution(group: FiniteAbelianGroup, mu, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """The one gate for a distribution, a real function on the group: one float per element.
+    Ragged or non-numeric values, and an imaginary part beyond ``band(1)``, are ShapeMismatch;
+    an imaginary part within it is dropped."""
+    try:
+        values = np.asarray(mu)
+        if values.dtype.kind in "SU":  # astype(float) would parse a string such as "0.5"
+            raise ValueError("got a string")
+        if np.iscomplexobj(values):
+            if values.size and float(np.max(np.abs(values.imag))) > tol.band(1.0):
+                raise ShapeMismatch("distribution values must be real")
+            values = values.real
+        values = values.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+        raise ShapeMismatch(f"distribution values must be numbers: {exc}") from exc
+    if values.shape != (group.size,):
+        raise ShapeMismatch(f"distribution has shape {values.shape}, expected ({group.size},)")
+    return values
+
+
 def _fourier_rows(group: FiniteAbelianGroup, block: np.ndarray) -> np.ndarray:
     """:func:`fourier_forward` of each row of a (B, |G|) block: one FFT over the group axes."""
     axes = tuple(range(1, len(group.orders) + 1))

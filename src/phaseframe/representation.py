@@ -24,10 +24,9 @@ from .errors import (
     NonFinite,
     NotHermitian,
     NotNormalized,
-    ShapeMismatch,
 )
 from .frames import ProjectiveFrame, validate_frame
-from .groups import character_table
+from .groups import _as_distribution, character_table
 from .linalg import DEFAULT_TOL, Tolerance, max_abs, require_hermitian
 
 __all__ = [
@@ -163,11 +162,7 @@ def reconstruct(rep: QuasiProbRepresentation, mu) -> np.ndarray:
     distributions outside the range of the representation it returns the
     minimum-norm consistent operator.
     """
-    values = np.asarray(mu, dtype=float)
-    if values.shape != (rep.group.size,):
-        raise ShapeMismatch(
-            f"distribution has shape {values.shape}, expected ({rep.group.size},)"
-        )
+    values = _as_distribution(rep.group, mu)
     return np.tensordot(values, rep.dual_ops, axes=([0], [0]))
 
 

@@ -8,11 +8,11 @@ lists, CSV reals with 17 significant digits (full double round-trip).
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,8 @@ import numpy as np
 from .bochner import BochnerCertificate
 from .errors import FrameFileError, ShapeMismatch
 from .frames import ProjectiveFrame, validate_frame
-from .groups import FiniteAbelianGroup, _as_group_values, _checked_orders, make_group
+from .groups import FiniteAbelianGroup, _as_distribution, _as_group_values, _checked_orders
+from .groups import make_group
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -84,20 +85,20 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], -1).tolist()
 
 
-def _json_numbers(data, may_hold_bools: bool = True) -> np.ndarray:
-    """``np.asarray(data, dtype=float)``, but bool and string entries raise ValueError;
-    ``may_hold_bools=False``, for text without true or false, skips that scan if numeric."""
-    arr = np.asarray(data)  # strings, null and huge integers leave a non-numeric dtype
-    if not may_hold_bools and arr.dtype.kind in "fi":
-        return arr.astype(float, copy=False)
-    if not {bool, str}.isdisjoint(map(type, np.asarray(data, dtype=object).ravel())):
-        raise ValueError("expected JSON numbers, got a bool or a string")
-    return np.asarray(data, dtype=float)
-
-
 def matrix_from_json(data) -> np.ndarray:
+    return _matrix_from_json(data, may_hold_bools=True)
+
+
+def _matrix_from_json(data, may_hold_bools: bool) -> np.ndarray:
+    """The matrix of ``[re, im]`` pairs in ``data``; bool and string entries are malformed.
+    ``may_hold_bools=False``, for text without true or false, skips that scan if numeric."""
     try:
-        arr = _json_numbers(data)
+        arr = np.asarray(data)  # strings, null and huge integers leave a non-numeric dtype
+        if may_hold_bools or arr.dtype.kind not in "fi":
+            if not {bool, str}.isdisjoint(map(type, np.asarray(data, dtype=object).ravel())):
+                raise ValueError("expected JSON numbers, got a bool or a string")
+            arr = np.asarray(data, dtype=float)
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FrameFileError(f"malformed matrix payload: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -153,14 +154,8 @@ def _frame_from_json(data, tol: Tolerance, may_hold_bools: bool) -> ProjectiveFr
             f"elements, group has {size}"
         )
     group = make_group(orders)
-    try:  # one parse of all payloads; an irregular file takes the per-entry checks below
-        cells = _json_numbers([entry["matrix"] for entry in entries], may_hold_bools)
-        regular = cells.shape == (size, dim, dim, 2) and np.isfinite(cells).all() and all(
-            tuple(map(_json_int, entry["g"])) == g for entry, g in zip(entries, group.elements))
-    except (KeyError, TypeError, ValueError, OverflowError):
-        regular = False
-    operators = cells.view(np.complex128)[..., 0] if regular else []
-    for pos, entry in enumerate(() if regular else entries):
+    operators = []
+    for pos, entry in enumerate(entries):
         try:
             g = tuple(_json_int(r) for r in entry["g"])
             payload = entry["matrix"]
@@ -174,7 +169,7 @@ def _frame_from_json(data, tol: Tolerance, may_hold_bools: bool) -> ProjectiveFr
                 f"(expected {group.elements[pos]})"
             )
         try:
-            op = matrix_from_json(payload)
+            op = _matrix_from_json(payload, may_hold_bools)
         except FrameFileError as exc:
             raise FrameFileError(f"element {g} at position {pos}: {exc}") from exc
         if op.shape != (dim, dim):
@@ -190,48 +185,36 @@ def _frame_from_json(data, tol: Tolerance, may_hold_bools: bool) -> ProjectiveFr
     return frame
 
 
-@functools.lru_cache(maxsize=64)
-def _array_layout(shape: tuple[int, ...], pad: str) -> list[str]:
-    """The indent=2 text of a nested list of ``shape`` at ``pad``, split at its numbers."""
-    text = json.dumps(np.zeros(shape).tolist(), indent=2)
-    return text.replace("\n", "\n" + pad).split("0.0")
-
-
-def _render(value, pad: str) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` at indent ``pad``, an ndarray (under
-    string keys) standing for its ``tolist()``. The stdlib renders what it can encode, whole;
-    re-indenting its text is safe, as a JSON string holds no raw newline."""
-    if isinstance(value, np.ndarray) and np.isfinite(value).all():
-        layout = _array_layout(value.shape, pad)
-        parts = [""] * (2 * len(layout) - 1)
-        parts[::2] = layout
-        parts[1::2] = map(float.__repr__, value.ravel().tolist())
-        return "".join(parts)
+def _dumps(path, obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``; what it cannot encode is a FrameFileError."""
     try:
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
-    except TypeError:  # an ndarray inside: this level is rendered here
-        if not isinstance(value, (dict, list, tuple, np.ndarray)):
-            raise
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = [f"{json.dumps(k)}: {_render(v, inner)}" for k, v in sorted(value.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    items = [_render(v, inner) for v in value]
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        return json.dumps(obj, sort_keys=True, indent=2)
+    except RecursionError as exc:  # e.g. frame metadata read just inside the parser's depth limit
+        raise FrameFileError(f"cannot write {path}: nested too deeply to encode") from exc
+    except (TypeError, ValueError) as exc:  # a value that is not JSON, or a circular reference
+        raise FrameFileError(f"cannot write {path}: {exc}") from exc
 
 
 def save_json(path, obj) -> None:
-    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` + newline, ndarrays as lists."""
-    try:
-        text = _render(obj, "")
-    except RecursionError as exc:  # e.g. frame metadata read just inside the parser's depth limit
-        raise FrameFileError(f"cannot write {path}: nested too deeply to encode") from exc
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` + newline. An object the stdlib
+    cannot encode (an ndarray, a set, a cycle) raises FrameFileError and writes nothing."""
+    Path(path).write_text(_dumps(path, obj) + "\n", encoding="utf-8")
 
 
 def save_frame(frame: ProjectiveFrame, path) -> None:
+    """Write what :func:`save_json` writes of :func:`frame_to_json`: the stdlib renders the
+    payload with a 0 for each matrix, and each matrix's text is spliced into its slot."""
     stack = frame.stack()  # complex128, C-contiguous: viewed as [re, im] pairs
-    save_json(path, _frame_payload(frame, stack.view(float).reshape(*stack.shape, 2)))
+    # Keys sort as dim, elements, group, metadata, schema_version, and an entry holds only its
+    # g besides: the first |G| hits are the matrix slots in order, whatever the metadata holds.
+    pieces = _dumps(path, _frame_payload(frame, [0] * len(stack))).split('"matrix": 0', len(stack))
+    layout = json.dumps(np.zeros((frame.dim, frame.dim, 2)).tolist(), indent=2)
+    parts = re.split(r"(0\.0)", '"matrix": ' + layout.replace("\n", "\n" + " " * 6))  # entry depth
+    text = [pieces[0]]
+    for matrix, piece in zip(stack.view(float).reshape(len(stack), -1), pieces[1:]):
+        parts[1::2] = map(float.__repr__, matrix.tolist())
+        text += ["".join(parts), piece]  # one string per matrix keeps the peak memory down
+    Path(path).write_text("".join(text) + "\n", encoding="utf-8")
 
 
 def _read_text(path, what: str) -> tuple[str, bytes]:
@@ -305,11 +288,7 @@ def load_state(path, *, with_sha256: bool = False):
 
 def distribution_csv_bytes(group: FiniteAbelianGroup, mu) -> bytes:
     """CSV with header ``index_tuple,mu``, rows in lexicographic dual order."""
-    values = np.asarray(mu, dtype=float)
-    if values.shape != (group.size,):
-        raise ShapeMismatch(
-            f"distribution has shape {values.shape}, expected ({group.size},)"
-        )
+    values = _as_distribution(group, mu)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index_tuple", "mu"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import phaseframe as pf
 from phaseframe import serialize
 from phaseframe.cli import main
-from phaseframe.errors import FrameFileError, NonFinite
+from phaseframe.errors import FrameFileError, NonFinite, ShapeMismatch
 
 PLACEHOLDER = '"@@"'  # stands for a raw JSON literal that json.dumps cannot write
 
@@ -74,6 +74,22 @@ def _distribution_text(**values):
     for key, value in values.items():
         mu[int(key[1:])] = value
     return serialize.distribution_csv_bytes(pf.make_group([3, 3]), mu).decode()
+
+
+def _represent(*outputs):
+    """argv for ``represent`` of a qubit state, writing ``--out`` (and ``--phi``) as ``out-*``."""
+    def make_argv(tmp_path, weyl3_file, text):
+        frame, state = tmp_path / "qubit.json", tmp_path / "state.json"
+        serialize.save_frame(pf.qubit_frame(), frame)
+        state.write_text(text)
+        options = [str(tmp_path / f"out-{name}") for name in outputs]
+        return ["represent", "--frame", str(frame), "--state-file", str(state),
+                *[arg for pair in zip(("--out", "--phi"), options) for arg in pair]]
+    return make_argv
+
+
+def _qubit_state_text(rows):
+    return json.dumps(serialize.state_to_json(np.array(rows, dtype=float)))
 
 
 FRAME_CELL = ["elements", 0, "matrix", 0, 0, 0]
@@ -166,6 +182,13 @@ BOUNDARY_CASES = {
     "distribution-sum-overflows": (_certify_distribution,
                                    _distribution_text(j1=1.7e308, j5=1.0, j7=1.7e308, j8=-1.7e308),
                                    "distribution sums to inf, expected 1"),
+    # represent wrote its CSV, then the total overflowed with a RuntimeWarning, or phi
+    # overflowed and left the CSV behind
+    "represent-total-overflows": (_represent("mu.csv"), _qubit_state_text([[1e308, 0], [0, 1e308]]),
+                                  "quasi-probability total overflows: "
+                                  "the operator's entries are too large"),
+    "represent-phi-overflows": (_represent("mu.csv", "phi.csv"),
+                                _qubit_state_text([[0.5, 1e308], [1e308, 0.5]]), PHI_OVERFLOW),
 }
 
 
@@ -177,6 +200,7 @@ def test_malformed_input_file_exits_one_with_one_error_line(case, tmp_path, weyl
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not list(tmp_path.glob("out-*"))
 
 
 def test_a_qubit_state_whose_phi_overflows_is_one_error_in_certify_and_scan(tmp_path):
@@ -196,6 +220,26 @@ def test_a_qubit_state_whose_phi_overflows_is_one_error_in_certify_and_scan(tmp_
             pf.certify_state(rep, rho)
         assert (row.certificate, row.error) == (None, message)
     assert rows[2].certificate.is_positively_representable
+
+
+@pytest.mark.parametrize("call", [
+    lambda rep, mu: pf.certify_distribution(rep, mu).phi,
+    lambda rep, mu: pf.reconstruct(rep, mu),
+    lambda rep, mu: serialize.distribution_csv_bytes(rep.group, mu),
+], ids=["certify_distribution", "reconstruct", "distribution_csv_bytes"])
+def test_a_distribution_is_one_real_number_per_group_element(call):
+    rep = pf.build_representation(pf.weyl_frame(3))
+    mu = pf.represent(rep, pf.maximally_mixed(3))
+    for values, message in [([[1.0], [1.0, 2.0]], "distribution values must be numbers"),
+                            (["x"] * 9, "distribution values must be numbers"),
+                            (["0.1"] * 9, "distribution values must be numbers"),
+                            (mu + 1e-6j, "distribution values must be real"),
+                            (mu[:4], r"distribution has shape \(4,\), expected \(9,\)")]:
+        with pytest.raises(ShapeMismatch, match=message):
+            call(rep, values)
+    with warnings.catch_warnings():  # a ComplexWarning would be an error
+        warnings.simplefilter("error")
+        assert np.array_equal(call(rep, mu + 1e-12j), call(rep, mu))
 
 
 def test_a_bool_outside_the_matrices_still_loads(tmp_path, weyl3_file, capsys):

@@ -219,73 +219,65 @@ def test_certificate_file_is_the_stdlib_indent_encoding(tmp_path, weyl3, spec):
 
 
 _SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-17, 1e16, 1e22, 1.7976931348623157e308, 0.1, -2.5]
+_FLOATS = st.sampled_from(_SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+# Keys and strings that look like the writer's matrix slots, at any depth of the metadata.
+_SLOT_KEYS = st.sampled_from(["matrix", "elements", "g"])
 _JSON_SCALARS = (
-    st.none() | st.booleans() | st.integers() | st.text()
-    | st.sampled_from(['"', "\\", "\n", "q\"u\\o\nte", "ünï☃", "\x00", ""])
-    | st.floats(allow_nan=False, allow_infinity=False)
+    st.none() | st.booleans() | st.integers() | st.text() | _FLOATS
+    | st.sampled_from(['"', "\\", "\n", "q\"u\\o\nte", "ünï☃", "\x00", "", '"matrix": 0',
+                       '{"matrix": 0}'])
 )
 _METADATA = st.recursive(
     _JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5) | _SLOT_KEYS, inner | st.just(0), max_size=3),
     max_leaves=12,
 )
-_ARRAYS = hnp.arrays(
-    float,
-    hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
-    elements=st.sampled_from(_SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
-)
-
-
-def _as_lists(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _as_lists(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_as_lists(v) for v in value]
-    return value
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    metadata=_METADATA,
-    arrays=st.lists(_ARRAYS, max_size=4),
-    top=_ARRAYS,
-    extra=st.dictionaries(st.text(max_size=4), _METADATA, max_size=3),
-)
-def test_renderer_matches_the_stdlib_encoder(metadata, arrays, top, extra):
-    payload = {
-        **extra,
-        "elements": [{"g": [k, -k], "matrix": a, "note": metadata} for k, a in enumerate(arrays)],
-        "metadata": {"nested": {"deeper": [metadata, {"m": top}]}, "plain": metadata},
-        "top": top,
-        "listed": arrays,
-    }
+@given(orders=st.lists(st.integers(2, 3), max_size=2), d=st.integers(1, 3), data=st.data(),
+       metadata=st.dictionaries(st.text(max_size=5) | _SLOT_KEYS, _METADATA, max_size=4))
+def test_save_frame_writes_the_stdlib_encoding_of_any_operators_and_metadata(
+        orders, d, data, metadata):
+    group = pf.make_group(orders)
+    parts = data.draw(hnp.arrays(np.float64, (2, group.size, d, d), elements=_FLOATS))
+    operators = np.zeros((group.size, d, d), dtype=complex)  # set part by part: keeps -0.0
+    operators.real, operators.imag = parts
+    frame = pf.ProjectiveFrame(group=group, operators=tuple(operators), dim=d, metadata=metadata)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "payload.json"
-        serialize.save_json(path, payload)
-        assert path.read_text(encoding="utf-8") == _stdlib_text(_as_lists(payload))
+        path = Path(tmp) / "frame.json"
+        serialize.save_frame(frame, path)
+        assert path.read_text(encoding="utf-8") == _stdlib_text(serialize.frame_to_json(frame))
 
 
-def test_renderer_writes_non_finite_arrays_as_the_stdlib_does():
-    arr = np.array([[1.0, np.nan], [np.inf, -np.inf]])
-    assert serialize._render({"a": arr, "b": [arr[0]]}, "") == json.dumps(
-        {"a": arr.tolist(), "b": [arr[0].tolist()]}, sort_keys=True, indent=2)
+def test_metadata_that_mimics_a_matrix_slot_is_written_as_it_is(tmp_path, weyl3):
+    metadata = {"matrix": 0, "elements": [{"g": 0, "matrix": 0}], "text": '"matrix": 0'}
+    frame = pf.ProjectiveFrame(group=weyl3.group, operators=weyl3.operators, dim=3,
+                               metadata={"a": metadata, **metadata})
+    path = tmp_path / "frame.json"
+    serialize.save_frame(frame, path)
+    assert path.read_text(encoding="utf-8") == _stdlib_text(serialize.frame_to_json(frame))
+    assert serialize.load_frame(path).metadata == frame.metadata
 
 
-# -- the bulk frame reader ----------------------------------------------------
+def _cycle():
+    loop = {}
+    loop["self"] = loop
+    return loop
 
-def test_regular_frame_file_is_parsed_in_one_pass(tmp_path, weyl5, monkeypatch):
-    path = tmp_path / "weyl5.json"
-    serialize.save_frame(weyl5, path)
 
-    def per_entry(data):
-        raise AssertionError("per-entry parse of a regular frame file")
+@pytest.mark.parametrize("value", [{1, 2}, np.zeros(2), _cycle()], ids=["set", "ndarray", "cycle"])
+def test_frame_metadata_that_is_not_json_is_not_written(tmp_path, weyl3, value):
+    frame = pf.ProjectiveFrame(group=weyl3.group, operators=weyl3.operators, dim=3,
+                               metadata={"value": value})
+    path = tmp_path / "frame.json"
+    with pytest.raises(FrameFileError, match="cannot write"):
+        serialize.save_frame(frame, path)
+    assert not path.exists()
 
-    monkeypatch.setattr(serialize, "matrix_from_json", per_entry)
-    frame = serialize.load_frame(path)
-    assert all(np.array_equal(a, b) for a, b in zip(frame.operators, weyl5.operators))
 
+# -- the frame reader ---------------------------------------------------------
 
 @pytest.mark.parametrize("mutate, message", [
     (lambda e: e[2].update(matrix=e[2]["matrix"][:2]),
@@ -305,6 +297,23 @@ def test_irregular_frame_file_names_its_first_bad_entry(tmp_path, weyl3, mutate,
     with pytest.raises(FrameFileError) as info:
         serialize.frame_from_json(data)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("literal, message", [
+    ('"x"', "expected JSON numbers, got a bool or a string"),
+    ("1" + "0" * 400, "int too large to convert to float"),
+])
+def test_a_file_without_true_or_false_names_its_bad_entry(tmp_path, literal, message):
+    # With no true or false in the text, the reader takes each matrix's dtype on trust.
+    payload = serialize.frame_to_json(pf.weyl_frame(3))
+    payload["elements"][4]["matrix"][1][1][1] = "@@"
+    text = json.dumps(payload).replace('"@@"', literal)
+    assert "true" not in text and "false" not in text
+    path = tmp_path / "frame.json"
+    path.write_text(text)
+    with pytest.raises(FrameFileError) as info:
+        serialize.load_frame(path)
+    assert str(info.value) == f"element (1, 1) at position 4: malformed matrix payload: {message}"
 
 
 # -- write, read, write: the same bytes ---------------------------------------
