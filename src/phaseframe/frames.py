@@ -16,9 +16,10 @@ frames: the doubled phase space for even dimension and the Z2^3 example.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -172,43 +173,96 @@ _FRAME_CHECKS = ("unitarity", "identity_at_origin", "inverse_convention", "proje
 _COCYCLE_CHECKS = ("projectivity", "cocycle_modulus", "cocycle_left_unit",
                    "cocycle_right_unit", "cocycle_inverse_pairs", "cocycle_identity")
 _REPORT_CHECKS = _FRAME_CHECKS[:-1]
+# The rows that make a frame a unitary projective representation, as spanning needs.
+_PROJECTIVE = ("unitarity", "projectivity", "cocycle_modulus")
 
 
 class _Invariants(NamedTuple):
-    """One invariant pass at one tolerance: cocycle, (residual, limit) rows, frame bounds."""
+    """One invariant pass at one tolerance: (residual, limit) rows, the Fourier frame
+    bounds, and the cocycle, built on its first call and remembered."""
 
-    cocycle: CocycleTable
     residuals: dict[str, tuple[float, float]]
     fourier_bounds: tuple[float, float]
+    cocycle: Callable[[], CocycleTable]
 
 
-def _extract_cocycle(group: FiniteAbelianGroup, stack: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best-fit scalars alpha(g, g') and the worst residual |P_g P_g' - alpha P_{gg'}|.
+def _roots(L: int) -> np.ndarray:
+    """exp(-2 pi i k / L) for k < L, from angles within [-pi, pi), with 1, -i, -1 and i
+    exact where L allows them."""
+    k = np.arange(L)
+    roots = np.exp(-2j * np.pi * (k - L * (2 * k >= L)) / L)
+    quarter = (4 * k) % L == 0
+    roots[quarter] = np.array([1, -1j, -1, 1j])[4 * k[quarter] // L]
+    return roots
 
-    Column-monomial stacks (one entry ``!= 0`` per column: phase[g, c] at row
-    rows[g, c]) cost O(|G|^2 d): column c of P_a P_b is phase[a, rows[b, c]]
-    phase[b, c] at row rows[a, rows[b, c]], alpha sums conj(target) product over
-    columns whose row matches P_ab's, and a column whose rows differ has residual
-    max(|product|, |alpha target|). Other stacks take :func:`_dense_cocycle`.
+
+def _exact_rows(group: FiniteAbelianGroup, stack: np.ndarray, band: float):
+    """The invariant rows of a monomial stack, proven from integer exponents, and its
+    cocycle as a remembered thunk; None where this route does not apply.
+
+    It applies to a column-monomial stack (one entry ``!= 0`` per column: phase[g, c]
+    at row rows[g, c]) whose phases lie within s of L-th roots of unity, L = 2 exp(G)
+    (:func:`phase_fix` takes square roots), with 3 s + s^2 <= ``band``. Let P'_g be
+    the snapped operators. In integer arithmetic, P'_e = I, and for each canonical
+    generator t and every g, P'_t P'_g = omega^c P'_tg: the composed rows
+    rows[t, rows[g, c]] equal rows[tg, c], and the exponent difference is one c for
+    all columns. By induction on the word length of a (P'_a = omega^-c P'_t P'_a' for
+    a = t a'), P'_a P'_b = alpha'(a, b) P'_ab for all pairs, alpha' an L-th root, in
+    O(k |G| d) for k generators; a stack failing any of this takes the dense route.
+    So alpha' is a 2-cocycle exactly (associativity, no rounding) with alpha'(e, g) =
+    alpha'(g, e) = 1, and every P'_g is invertible: its rows form a permutation, and
+    rows[g^-1, rows[g, c]] = c. The cocycle rows read 0 but for |alpha'(g, g^-1) - 1|.
+
+    The given P_g = P'_g + E_g share that support, entries of E at most s. So
+    P_g^dag P_g is diag(|phase[g]|^2), and P_e - I and P_g^dag - P_g^-1 vanish off
+    the entries compared below: ``unitarity``, ``identity_at_origin`` and
+    ``inverse_convention`` are the dense rows' values, in O(|G| d). Column by column,
+    P_a P_b - alpha' P_ab = P'_a E_b + E_a P'_b + E_a E_b - alpha' E_ab, so
+    ``projectivity`` is at most 3 s + s^2 against alpha'. The |G|^2 table of alpha'
+    costs O(|G|^2) integer operations and is built only when first asked for.
     """
-    n, d = group.size, stack.shape[1]
     nonzero = stack != 0
     if not (nonzero.sum(axis=1) == 1).all():
-        return _dense_cocycle(group, stack)
+        return None
+    n, d = stack.shape[:2]
     rows = nonzero.argmax(axis=1)  # (n, d)
     phase = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0, :]
-    values, worst = np.empty((n, n), dtype=np.complex128), np.empty(n)
-    for a, ab in enumerate(group._mul):
-        prod = phase[a][rows] * phase  # [b, c] = column c of P_a P_b
-        match = rows[a][rows] == rows[ab]
-        values[a] = alpha = np.where(match, phase[ab].conj() * prod, 0).sum(axis=1) / d
-        scaled = alpha[:, None] * phase[ab]
-        worst[a] = np.where(match, abs(prod - scaled), np.maximum(abs(prod), abs(scaled))).max()
-    return values, float(worst.max())
+    L = 2 * math.lcm(*group.orders)
+    roots = _roots(L)
+    exps = np.rint(np.angle(phase) * (-L / (2 * np.pi))).astype(np.int64) % L
+    s = max_abs(phase - roots[exps])
+    projectivity = 3.0 * s + s * s
+    if not (projectivity <= band and (rows[0] == np.arange(d)).all() and (exps[0] == 0).all()):
+        return None
+    mul, inv = group._mul, group._inv
+    for t in (math.prod(group.orders[i + 1:]) for i in range(len(group.orders))):
+        shift = (exps[t][rows] + exps - exps[mul[t]]) % L
+        if not ((rows[t][rows] == rows[mul[t]]).all() and (shift == shift[:, :1]).all()):
+            return None
+
+    @functools.cache
+    def cocycle() -> CocycleTable:
+        # [a, b]: column 0 of P'_a P'_b against that of P'_ab
+        k = exps[:, rows[:, 0]] + exps[:, 0]
+        k -= exps[mul, 0]
+        return CocycleTable(group=group, values=roots[k % L])
+
+    pairs = roots[(exps[np.arange(n), rows[inv, 0]] + exps[inv, 0]) % L]
+    residuals = {
+        "unitarity": max_abs((phase.conj() * phase).real - 1.0),
+        "identity_at_origin": max_abs(phase[0] - 1.0),
+        "inverse_convention": max_abs(phase.conj() - phase[inv[:, None], rows]),
+        "projectivity": projectivity,
+        "cocycle_inverse_pairs": max_abs(pairs - 1.0),
+        **dict.fromkeys(("cocycle_modulus", "cocycle_left_unit", "cocycle_right_unit",
+                         "cocycle_identity"), 0.0),
+    }
+    return residuals, cocycle
 
 
 def _dense_cocycle(group: FiniteAbelianGroup, stack: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`_extract_cocycle` for any stack, from all |G|^2 dense products."""
+    """Best-fit scalars alpha(g, g') and the worst residual |P_g P_g' - alpha P_{gg'}|,
+    from all |G|^2 dense products."""
     n, d = group.size, stack.shape[1]
     values, worst = np.empty((n, n), dtype=np.complex128), np.empty(n)
     for a, ab in enumerate(group._mul):
@@ -218,6 +272,30 @@ def _dense_cocycle(group: FiniteAbelianGroup, stack: np.ndarray) -> tuple[np.nda
         values[a] = alpha = np.einsum("nij,nij->n", target.conj(), prod) / d
         worst[a] = max_abs(prod - alpha[:, None, None] * target)
     return values, float(worst.max())
+
+
+def _dense_rows(group: FiniteAbelianGroup, stack: np.ndarray):
+    """The invariant rows of any stack, in floating point, and its cocycle as a thunk."""
+    n, d = stack.shape[:2]
+    inv = group._inv
+    eye = np.eye(d)
+    adjoints = stack.conj().transpose(0, 2, 1)
+    values, projectivity = _dense_cocycle(group, stack)
+    unitarity = max_abs(adjoints @ stack - eye)
+    modulus = max_abs(np.abs(values) - 1.0)
+    residuals = {
+        "unitarity": unitarity,
+        "identity_at_origin": max_abs(stack[0] - eye),
+        "inverse_convention": max_abs(adjoints - stack[inv]),
+        "projectivity": projectivity,
+        "cocycle_modulus": modulus,
+        "cocycle_left_unit": max_abs(values[0, :] - 1.0),
+        "cocycle_right_unit": max_abs(values[:, 0] - 1.0),
+        "cocycle_inverse_pairs": max_abs(values[np.arange(n), inv] - 1.0),
+        "cocycle_identity": _cocycle_identity_residual(d, projectivity, modulus, unitarity),
+    }
+    table = CocycleTable(group=group, values=values)
+    return residuals, lambda: table
 
 
 def _cocycle_identity_residual(d: int, projectivity: float, modulus: float,
@@ -240,8 +318,10 @@ def _cocycle_identity_residual(d: int, projectivity: float, modulus: float,
 
     which is returned (inf when u >= 1; NaN stays NaN). The factor on E, about
     4 sqrt(d), does not grow with the group, but a frame whose every triple
-    lies inside the band still fails once E exceeds about band / (4 sqrt(d)):
-    e.g. a Weyl d = 5 frame with entries rounded to 9 decimals.
+    lies inside the band still fails once E exceeds about band / (4 sqrt(d)).
+    Only stacks off the exact route of :func:`_exact_rows` meet this bound: e.g.
+    a Weyl d = 5 frame with entries rounded to 9 decimals and conjugated by a
+    non-monomial unitary. Unconjugated, that frame snaps and passes.
     """
     if unitarity >= 1.0:
         return float("inf")
@@ -251,36 +331,39 @@ def _cocycle_identity_residual(d: int, projectivity: float, modulus: float,
 
 @np.errstate(over="ignore", invalid="ignore")
 def _invariant_pass(frame: ProjectiveFrame, tol: Tolerance) -> _Invariants:
-    """Derive the cocycle and every named invariant residual of ``frame``. Entries too
-    large to square overflow to inf or NaN residuals, which fail their checks."""
+    """Every named invariant residual of ``frame``, its Fourier frame bounds and its
+    cocycle. Entries too large to square overflow to inf or NaN residuals, which fail.
+
+    The rows come from :func:`_exact_rows` where it applies, else from
+    :func:`_dense_rows`. Once the unitarity, projectivity and cocycle modulus rows
+    pass, the frame is (within the band) a unitary projective representation, and
+    its span is closed under products and adjoints, so by Burnside's theorem it
+    spans all d x d matrices iff the representation is irreducible, iff the
+    character norm (1/|G|) sum_g |Tr P_g|^2, the dimension of the commutant, is 1.
+    That integer is decided with margin 1/2, in O(|G| d). A spanning frame's Fourier
+    frame bounds are both 1/d (the V V^dag = (|G|/d) I argument of
+    :func:`bochner.mq_spectrum`). Only a frame failing one of those rows or spanning
+    takes the O(|G| d^4) SVD, for the rank its message names and its bounds.
+    """
     group, stack, d = frame.group, frame._stack, frame.dim
     n = group.size
-    inv = group._inv
     band = tol.band(1.0)
-    eye = np.eye(d)
-    adjoints = stack.conj().transpose(0, 2, 1)
-    values, projectivity = _extract_cocycle(group, stack)
-    svals = np.linalg.svd(stack.reshape(n, d * d), compute_uv=False)
-    rank = int(np.sum(svals > tol.band(float(svals[0]))))
-    # The character table over sqrt|G| is unitary, so the Fourier frame operator is S^H S / |G|
-    # for the stack S: its d^2 eigenvalues are svals^2 / |G|, zeros past the |G|-th.
-    a, b = np.square([svals[-1] if n >= d * d else 0.0, svals[0]]) / n
-    unitarity = max_abs(adjoints @ stack - eye)
-    modulus = max_abs(np.abs(values) - 1.0)
-    residuals = {
-        "unitarity": unitarity,
-        "identity_at_origin": max_abs(stack[0] - eye),
-        "inverse_convention": max_abs(adjoints - stack[inv]),
-        "projectivity": projectivity,
-        "cocycle_modulus": modulus,
-        "cocycle_left_unit": max_abs(values[0, :] - 1.0),
-        "cocycle_right_unit": max_abs(values[:, 0] - 1.0),
-        "cocycle_inverse_pairs": max_abs(values[np.arange(n), inv] - 1.0),
-        "cocycle_identity": _cocycle_identity_residual(d, projectivity, modulus, unitarity),
-    }
+    residuals, cocycle = _exact_rows(group, stack, band) or _dense_rows(group, stack)
     table = {name: (r, band) for name, r in residuals.items()}
-    table["spanning"] = (d * d - rank, 0)  # matrix dimensions left unspanned
-    return _Invariants(CocycleTable(group=group, values=values), table, (float(a), float(b)))
+    traces = np.trace(stack, axis1=1, axis2=2)
+    projective = all(residuals[name] <= band for name in _PROJECTIVE)
+    if projective and np.vdot(traces, traces).real < 1.5 * n:
+        unspanned, bounds = 0, (1.0 / d, 1.0 / d)
+    else:
+        svals = np.linalg.svd(stack.reshape(n, d * d), compute_uv=False)
+        unspanned = d * d - int(np.sum(svals > tol.band(float(svals[0]))))
+        # The character table over sqrt|G| is unitary, so the Fourier frame operator is
+        # S^H S / |G| for the stack S: its d^2 eigenvalues are svals^2 / |G|, zeros past
+        # the |G|-th.
+        a, b = np.square([svals[-1] if n >= d * d else 0.0, svals[0]]) / n
+        bounds = (float(a), float(b))
+    table["spanning"] = (unspanned, 0)  # matrix dimensions left unspanned
+    return _Invariants(table, bounds, cocycle)
 
 
 def _check(frame: ProjectiveFrame, tol: Tolerance, names) -> _Invariants:
@@ -312,14 +395,15 @@ def weyl_frame(d: int, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
 
     P_(j,l) = omega^{s j l} X^j Z^l with s = (d+1)/2, the multiplicative
     inverse of 2 mod d. The phase makes P_(j,l) a d-th root of unity times a
-    unitary with P_g^-1 = P_{g^-1}; it has no analogue for even d, where the
-    doubled phase space of :func:`leonhardt_frame` applies instead.
+    unitary with P_g^-1 = P_{g^-1}. Even d has no inverse of 2, so no such
+    phase: :func:`leonhardt_frame` doubles the phase space instead, and
+    :func:`phase_fix` of the plain X^j Z^l gives a frame over Z_d x Z_d.
     """
     d = _integer_at_least(d, 2, InvalidDimension, f"need integer d >= 3, got {d}")
     if d % 2 == 0:
         raise EvenDimension(
-            f"no half-integer phase exists for even d = {d}; use leonhardt_frame(d) "
-            "or a tensor product of smaller frames"
+            f"even d = {d} has no inverse of 2 mod d for the symmetric phase; use "
+            "leonhardt_frame(d), or phase_fix of the operators X^j Z^l"
         )
     group = make_group([d, d])
     s = (d + 1) // 2
@@ -463,21 +547,13 @@ def phase_fix(
     """
     ops = tuple(as_matrix(op) for op in operators)
     raw = ProjectiveFrame(group=group, operators=ops, dim=len(ops[0]) if ops else 0)
-    found = _check(raw, tol, ("unitarity", "identity_at_origin", "projectivity"))
-    values = found.cocycle.values
-
-    inv = group._inv
-    mu = np.ones(group.size, dtype=np.complex128)
-    for a in range(group.size):
-        b = int(inv[a])
-        alpha_pair = values[a, b]  # alpha(g, g^-1)
-        if a < b:
-            mu[b] = alpha_pair.conj()
-        elif a == b and a != 0:
-            mu[a] = np.sqrt(alpha_pair.conj())
+    values = _check(raw, tol, ("unitarity", "identity_at_origin", "projectivity")).cocycle().values
+    g, inv = np.arange(group.size), group._inv
+    correction = values[inv, g].conj()  # conj alpha(g^-1, g)
+    mu = np.where(g > inv, correction, np.where((g == inv) & (g > 0), np.sqrt(correction), 1.0))
     frame = ProjectiveFrame(
         group=group,
-        operators=tuple(mu[:, None, None] * raw.stack()),
+        operators=mu[:, None, None] * raw.stack(),
         dim=raw.dim,
         metadata=dict(metadata) if metadata is not None else {"kind": "phase_fixed", "parameters": {}},
     )
@@ -490,8 +566,10 @@ def phase_fix(
 
 
 def cocycle_table(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> CocycleTable:
-    """alpha(g, g') = Tr(P_g P_g' P_{gg'}^dag) / d, verified and remembered per tolerance."""
-    return _check(frame, tol, _COCYCLE_CHECKS).cocycle
+    """alpha(g, g') with P_g P_g' = alpha(g, g') P_{gg'}, verified and remembered per
+    tolerance: the snapped roots of unity of a frame on the exact route, else the best
+    fit Tr(P_g P_g' P_{gg'}^dag) / d. Built on the first call."""
+    return _check(frame, tol, _COCYCLE_CHECKS).cocycle()
 
 
 def kernel(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:

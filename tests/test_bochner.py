@@ -494,9 +494,10 @@ def test_certificates_read_no_value_of_the_cocycle(weyl3, weyl3_rep):
     frame = pf.ProjectiveFrame(group=weyl3.group, operators=weyl3.operators, dim=3)
     rep = pf.build_representation(frame)
     found = frame._verified[pf.DEFAULT_TOL]
-    noise = np.random.default_rng(5).standard_normal(found.cocycle.values.shape)
-    twisted = CocycleTable(group=frame.group, values=found.cocycle.values * np.exp(0.1j * noise))
-    frame._verified[pf.DEFAULT_TOL] = found._replace(cocycle=twisted)
+    values = found.cocycle().values
+    noise = np.random.default_rng(5).standard_normal(values.shape)
+    twisted = CocycleTable(group=frame.group, values=values * np.exp(0.1j * noise))
+    frame._verified[pf.DEFAULT_TOL] = found._replace(cocycle=lambda: twisted)
     states = [pf.random_density(3, 12), pf.maximally_mixed(3), pf.basis_state(3, 1),
               pf.random_pure(3, 4), pf.random_hermitian_trace1(3, 7)]
     result, untouched = pf.scan(rep, states), pf.scan(weyl3_rep, states)

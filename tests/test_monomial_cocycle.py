@@ -1,9 +1,11 @@
-"""The column-monomial cocycle extraction against the dense products it replaces.
+"""The exact route of the invariant pass against the dense products it replaces.
 
-Every built-in frame has one nonzero entry per operator column, so its cocycle
-is read from those entries in O(|G|^2 d). ``frames._dense_cocycle`` forms all
-|G|^2 dense products and stays the route for every other stack; here it is the
-reference, on valid frames and on monomial families that fail.
+Every built-in frame is column-monomial with roots of unity for phases, so
+``frames._exact_rows`` proves its invariants from integer exponents and builds
+the cocycle table only on demand. ``frames._dense_rows`` forms all |G|^2 dense
+products (``frames._dense_cocycle``) and stays the route for every other stack;
+here it is the oracle, on valid frames, on ``phase_fix`` outputs and on stacks
+that fail.
 """
 
 import json
@@ -15,24 +17,30 @@ from hypothesis import strategies as st
 
 import phaseframe as pf
 from phaseframe import frames, serialize
+from phaseframe.cli import main
+from phaseframe.errors import NotProjective
 
 from test_dual_frame import LADDER, _frame, _scaled_weyl3
 
-AGREE = 1e-13
+BAND = pf.DEFAULT_TOL.band(1.0)
+
+
+def _counter(monkeypatch, owner, name):
+    """Record each call of ``owner.name`` from here on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    """Record each dense extraction from here on."""
-    calls = []
-    original = frames._dense_cocycle
-
-    def counting(group, stack):
-        calls.append(group.orders)
-        return original(group, stack)
-
-    monkeypatch.setattr(frames, "_dense_cocycle", counting)
-    return calls
+    return _counter(monkeypatch, frames, "_dense_cocycle")
 
 
 def _rebuilt(frame: pf.ProjectiveFrame, ops=None) -> pf.ProjectiveFrame:
@@ -41,36 +49,39 @@ def _rebuilt(frame: pf.ProjectiveFrame, ops=None) -> pf.ProjectiveFrame:
     return pf.ProjectiveFrame(group=frame.group, operators=tuple(ops), dim=ops.shape[1])
 
 
-def _outcome(check, frame):
-    """(class name, message) of the error ``check(frame)`` raises, or None."""
+def _pass(frame: pf.ProjectiveFrame):
+    return frames._invariant_pass(_rebuilt(frame), pf.DEFAULT_TOL)
+
+
+def _first_failure(found):
+    """The first row ``validate_frame`` would raise on, or None."""
+    return next((name for name in frames._FRAME_CHECKS
+                 if not found.residuals[name][0] <= found.residuals[name][1]), None)
+
+
+def _error_class(frame):
     try:
-        check(frame)
+        pf.validate_frame(_rebuilt(frame))
     except pf.PhaseFrameError as exc:
-        return type(exc).__name__, str(exc)
+        return type(exc).__name__
     return None
 
 
-def _assert_routes_agree(frame: pf.ProjectiveFrame) -> None:
-    """Same cocycle, residual table and verdicts from both routes."""
-    values, residual = frames._extract_cocycle(frame.group, frame.stack())
-    dense_values, dense_residual = frames._dense_cocycle(frame.group, frame.stack())
-    assert np.max(np.abs(values - dense_values)) < AGREE
-    assert abs(residual - dense_residual) < AGREE
-    fast = frames._invariant_pass(_rebuilt(frame), pf.DEFAULT_TOL).residuals
-    checks = (pf.validate_frame, pf.cocycle_table)
-    fast_outcomes = [_outcome(check, _rebuilt(frame)) for check in checks]
+def _assert_routes_agree(frame: pf.ProjectiveFrame):
+    """Same verdict, first failing row and error class from the default pass and the
+    oracle (the pass with the exact route switched off), and every row and the cocycle
+    within the band wherever the products are projective. Returns the default pass."""
+    found, found_class = _pass(frame), _error_class(frame)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(frames, "_extract_cocycle", frames._dense_cocycle)
-        dense = frames._invariant_pass(_rebuilt(frame), pf.DEFAULT_TOL).residuals
-        dense_outcomes = [_outcome(check, _rebuilt(frame)) for check in checks]
-    assert fast.keys() == dense.keys()
-    for name, (r, limit) in fast.items():
-        # The cocycle_identity bound scales a defect by up to 3 L rho^L, so that
-        # row may also differ relative to its size; every other row is absolute.
-        rel = AGREE if name == "cocycle_identity" else None
-        assert r == pytest.approx(dense[name][0], rel=rel, abs=AGREE), name
-        assert limit == dense[name][1]
-    assert fast_outcomes == dense_outcomes
+        patch.setattr(frames, "_exact_rows", lambda *args: None)
+        dense, dense_class = _pass(frame), _error_class(frame)
+    assert _first_failure(found) == _first_failure(dense)
+    assert found_class == dense_class
+    if dense.residuals["projectivity"][0] <= BAND:
+        assert np.max(np.abs(found.cocycle().values - dense.cocycle().values)) <= BAND
+        for name, (r, _) in dense.residuals.items():
+            assert abs(found.residuals[name][0] - r) <= BAND, name
+    return found
 
 
 def _monomial(perm, phases) -> np.ndarray:
@@ -93,21 +104,64 @@ def _weyl11_from_json() -> pf.ProjectiveFrame:
 @pytest.mark.parametrize("name", LADDER + ["weyl11-json"])
 def test_ladder_frames_take_the_monomial_route(name, dense_calls):
     frame = _weyl11_from_json() if name == "weyl11-json" else _frame(name)
-    dense_calls.clear()
-    values, residual = frames._extract_cocycle(frame.group, frame.stack())
-    assert dense_calls == []
-    assert residual < 1e-12
-    _assert_routes_agree(frame)
+    with pytest.MonkeyPatch.context() as patch:
+        svd_calls = _counter(patch, np.linalg, "svd")
+        found = _pass(frame)
+    assert dense_calls == [] and svd_calls == []
+    assert found.residuals["projectivity"][0] < 1e-14
+    assert found.fourier_bounds == (1.0 / frame.dim, 1.0 / frame.dim)
+    assert _assert_routes_agree(frame) is not None
     assert pf.validate_frame(_rebuilt(frame)) is None
+
+
+@pytest.mark.parametrize("name", ["weyl31", "qubit^5"])
+def test_large_frames_match_dense_products_on_sampled_rows(name, dense_calls):
+    # The full dense pass takes about 10 s here, so the oracle multiplies out five
+    # rows a: P_a P_b against alpha(a, b) P_ab for every b.
+    frame = _rebuilt(_frame(name))
+    pf.validate_frame(frame)
+    assert dense_calls == []
+    group, stack = frame.group, frame.stack()
+    table = pf.cocycle_table(frame).values
+    rng = np.random.default_rng(3)
+    for a in [1, group.size - 1, *rng.integers(0, group.size, 3)]:
+        target = table[a][:, None, None] * stack[group._mul[a]]
+        assert np.max(np.abs(stack[a] @ stack - target)) <= BAND
+    svals = np.linalg.svd(stack.reshape(group.size, -1), compute_uv=False)
+    np.testing.assert_allclose(svals**2 / group.size, 1.0 / frame.dim, atol=1e-12)
+
+
+def _plain_shift_clock(d: int) -> tuple[pf.FiniteAbelianGroup, np.ndarray]:
+    """X^j Z^l over Z_d x Z_d, without the symmetric phase."""
+    group = pf.make_group([d, d])
+    shift, clock = frames._shift_clock(d, *group._residues.T)
+    return group, shift @ clock
+
+
+@pytest.mark.parametrize("d, half_steps", [(2, True), (4, False), (6, True)])
+def test_phase_fix_outputs_take_the_exact_route(d, half_steps, dense_calls):
+    group, raw = _plain_shift_clock(d)
+    fixed = pf.phase_fix(group, raw)
+    assert dense_calls == []
+    # A self-inverse element takes a square root of a d-th root of unity: for d = 2
+    # and 6 some phases are odd powers of a 2d-th root, which L = 2 exp(G) = 2d
+    # covers and exp(G) would not.
+    phases = fixed.stack()[fixed.stack() != 0]
+    exps = np.angle(phases) * d / (2 * np.pi)
+    assert (np.max(np.abs(exps - np.rint(exps))) > 0.4) == half_steps
+    snapped = frames._roots(2 * d)[np.rint(-2 * exps).astype(int) % (2 * d)]
+    assert np.max(np.abs(phases - snapped)) < 1e-14
+    assert _first_failure(_assert_routes_agree(fixed)) is None
+    assert _first_failure(_assert_routes_agree(_rebuilt(fixed, raw))) == "inverse_convention"
 
 
 def test_negative_zero_counts_as_zero(dense_calls):
     frame = _frame("weyl5")
     ops = np.where(frame.stack() == 0, -0.0, frame.stack())
     assert np.signbit(ops.real).any()
-    values, _ = frames._extract_cocycle(frame.group, ops)
+    values = pf.cocycle_table(_rebuilt(frame, ops)).values
     assert dense_calls == []
-    assert np.max(np.abs(values - pf.cocycle_table(frame).values)) < AGREE
+    assert np.max(np.abs(values - pf.cocycle_table(frame).values)) == 0.0
 
 
 def test_a_conjugated_frame_takes_the_dense_route(dense_calls):
@@ -117,10 +171,22 @@ def test_a_conjugated_frame_takes_the_dense_route(dense_calls):
     conjugated = _rebuilt(frame, q @ frame.stack() @ q.conj().T)
     dense_calls.clear()
     pf.validate_frame(conjugated)
-    assert dense_calls == [frame.group.orders]
+    assert dense_calls == ["_dense_cocycle"]
     np.testing.assert_allclose(
         pf.cocycle_table(conjugated).values, pf.cocycle_table(frame).values, atol=1e-12
     )
+
+
+def test_certify_and_scan_from_a_file_run_no_dense_products_and_no_svd(tmp_path, monkeypatch):
+    path = tmp_path / "weyl11.json"
+    assert main(["frame", "build", "weyl", "--d", "11", "--out", str(path)]) == 0
+    dense = _counter(monkeypatch, frames, "_dense_cocycle")
+    svd = _counter(monkeypatch, np.linalg, "svd")
+    for argv in (["certify", "--state", "random-pure:3"],
+                 ["scan", "--family", "random-density", "--count", "5"]):
+        assert main([argv[0], "--frame", str(path), *argv[1:],
+                     "--out", str(tmp_path / "out")]) in (0, 4)
+    assert dense == svd == []
 
 
 # --------------------------------------------------------------------------
@@ -144,11 +210,8 @@ def _two_columns_one_row() -> pf.ProjectiveFrame:
 @pytest.mark.parametrize("build", [_scaled_weyl3, _sign_flipped, _two_columns_one_row])
 def test_failing_families_fail_alike(build, dense_calls):
     frame = build()
-    dense_calls.clear()
-    frames._extract_cocycle(frame.group, frame.stack())
-    assert dense_calls == []
-    assert _outcome(pf.validate_frame, _rebuilt(frame)) is not None
-    _assert_routes_agree(frame)
+    assert frames._exact_rows(frame.group, frame.stack(), BAND) is None
+    assert _first_failure(_assert_routes_agree(frame)) is not None
 
 
 def test_a_sign_flip_breaks_projectivity():
@@ -156,17 +219,58 @@ def test_a_sign_flip_breaks_projectivity():
     assert residuals["projectivity"][0] > 0.1
 
 
+def _one_step_bumped() -> pf.ProjectiveFrame:
+    # One entry times omega_L, L = 2 exp(G) = 14: still a root, not projective.
+    frame = _frame("weyl7")
+    ops = frame.stack().copy()
+    ops[frame.group.index((2, 3)), :, 4] *= np.exp(-2j * np.pi / 14)
+    return _rebuilt(frame, ops)
+
+
+def _two_rows_swapped() -> pf.ProjectiveFrame:
+    frame = _frame("leonhardt4")
+    ops = frame.stack().copy()
+    ops[frame.group.index((1, 2)), :, [0, 2]] = ops[frame.group.index((1, 2)), :, [2, 0]]
+    return _rebuilt(frame, ops)
+
+
+def _identity_negated() -> pf.ProjectiveFrame:
+    # P_e = -I: every product still closes up to a root of unity, but alpha(e, g) = -1.
+    frame = _frame("weyl3")
+    ops = frame.stack().copy()
+    ops[0] *= -1.0
+    return _rebuilt(frame, ops)
+
+
+def _perturbed() -> pf.ProjectiveFrame:
+    frame = _frame("weyl5")
+    ops = frame.stack().copy()
+    ops[frame.group.index((3, 1)), 1, 0] += 1e-6
+    return _rebuilt(frame, ops)
+
+
+@pytest.mark.parametrize("build, row", [(_one_step_bumped, "inverse_convention"),
+                                        (_two_rows_swapped, "inverse_convention"),
+                                        (_identity_negated, "identity_at_origin"),
+                                        (_perturbed, "unitarity")])
+def test_rejections_keep_their_class_and_first_failing_row(build, row, dense_calls):
+    frame = build()
+    found = _assert_routes_agree(frame)
+    assert _first_failure(found) == row
+    assert _error_class(frame) == NotProjective.__name__
+    assert dense_calls  # every one of them is judged by the dense products
+
+
 @st.composite
 def monomial_families(draw):
     orders = draw(st.sampled_from([(2,), (3,), (2, 2), (4,), (3, 3), (2, 3)]))
     d = draw(st.integers(1, 4))
     group = pf.make_group(orders)
+    roots = frames._roots(2 * np.lcm.reduce(orders))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    ops = [
-        _monomial(rng.permutation(d), np.exp(2j * np.pi * rng.random(d)))
-        for _ in range(group.size)
-    ]
+    ops = [_monomial(rng.permutation(d), roots[rng.integers(0, len(roots), d)])
+           for _ in range(group.size)]
     if draw(st.booleans()):
         ops[0] = np.eye(d)
     return pf.ProjectiveFrame(group=group, operators=tuple(ops), dim=d)
@@ -181,7 +285,9 @@ def test_random_monomial_families_agree(frame):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["weyl3", "leonhardt2", "qubit+", "z2cubed"]), st.integers(0, 2**32 - 1))
 def test_rephased_frames_agree(name, seed):
+    # Rephased by roots of unity the frames stay on the exact route, and mostly
+    # break the inverse convention there.
     frame = _frame(name)
-    rng = np.random.default_rng(seed)
-    phases = np.exp(2j * np.pi * rng.random(frame.group.size))
+    roots = frames._roots(2 * np.lcm.reduce(frame.group.orders))
+    phases = roots[np.random.default_rng(seed).integers(0, len(roots), frame.group.size)]
     _assert_routes_agree(_rebuilt(frame, phases[:, None, None] * frame.stack()))
