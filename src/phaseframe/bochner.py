@@ -118,7 +118,7 @@ def build_mq(
         raise CocycleMismatch(
             f"cocycle over group {cocycle.group.orders}, phi over {group.orders}"
         )
-    m = arr[group._diff] * cocycle.values[group._inv, :]
+    m = arr[group._products(group._inv)] * cocycle.values[group._inv, :]
     deviation = np.abs(m - m.conj().T)
     worst = float(np.max(deviation))
     if worst > tol.derived_band(max_abs(arr)):

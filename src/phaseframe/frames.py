@@ -234,17 +234,18 @@ def _exact_rows(group: FiniteAbelianGroup, stack: np.ndarray, band: float):
     projectivity = 3.0 * s + s * s
     if not (projectivity <= band and (rows[0] == np.arange(d)).all() and (exps[0] == 0).all()):
         return None
-    mul, inv = group._mul, group._inv
-    for t in (math.prod(group.orders[i + 1:]) for i in range(len(group.orders))):
-        shift = (exps[t][rows] + exps - exps[mul[t]]) % L
-        if not ((rows[t][rows] == rows[mul[t]]).all() and (shift == shift[:, :1]).all()):
+    inv = group._inv
+    for t in group._weight:  # the canonical generators
+        tg = group._products(t)
+        shift = (exps[t][rows] + exps - exps[tg]) % L
+        if not ((rows[t][rows] == rows[tg]).all() and (shift == shift[:, :1]).all()):
             return None
 
     @functools.cache
     def cocycle() -> CocycleTable:
         # [a, b]: column 0 of P'_a P'_b against that of P'_ab
         k = exps[:, rows[:, 0]] + exps[:, 0]
-        k -= exps[mul, 0]
+        k -= exps[group._products(np.arange(n)), 0]
         return CocycleTable(group=group, values=roots[k % L])
 
     pairs = roots[(exps[np.arange(n), rows[inv, 0]] + exps[inv, 0]) % L]
@@ -265,9 +266,9 @@ def _dense_cocycle(group: FiniteAbelianGroup, stack: np.ndarray) -> tuple[np.nda
     from all |G|^2 dense products."""
     n, d = group.size, stack.shape[1]
     values, worst = np.empty((n, n), dtype=np.complex128), np.empty(n)
-    for a, ab in enumerate(group._mul):
+    for a in range(n):
         prod = stack[a] @ stack  # (n, d, d)
-        target = stack[ab]
+        target = stack[group._products(a)]
         # alpha = <target, prod> / <target, target>; targets are unitary, norm^2 = d.
         values[a] = alpha = np.einsum("nij,nij->n", target.conj(), prod) / d
         worst[a] = max_abs(prod - alpha[:, None, None] * target)
@@ -582,14 +583,8 @@ def kernel(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> list[tuple[i
         c = np.trace(op) / d
         if abs(abs(c) - 1.0) <= band and max_abs(op - c * eye) <= band:
             members.append(idx)
-    member_set = set(members)
-    mul = frame.group._mul
-    for a in members:
-        for b in members:
-            if int(mul[a, b]) not in member_set:
-                raise InternalInconsistency(
-                    "kernel candidates are not closed under composition"
-                )
+    if not np.isin(frame.group._products(members)[:, members], members).all():
+        raise InternalInconsistency("kernel candidates are not closed under composition")
     return [frame.group.elements[i] for i in members]
 
 

@@ -31,7 +31,8 @@ __all__ = [
     "classical_bochner_check",
 ]
 
-# Largest |G| accepted: the int64 tables _mul and _diff take 16 |G|^2 bytes, 256 MiB here.
+# Largest |G| accepted. It bounds the dense operator stack, |G| d^2 complex entries (256 MiB
+# for six qubits); a group itself costs O(|G| k) to build and holds no |G|^2 table.
 MAX_GROUP_SIZE = 4096
 
 
@@ -54,26 +55,25 @@ class FiniteAbelianGroup:
         elements = tuple(itertools.product(*(range(n) for n in orders)))
         object.__setattr__(self, "_elements", elements)
         object.__setattr__(self, "_index", {g: i for i, g in enumerate(elements)})
-
-        n = len(elements)
-        k = len(orders)
-        res = np.array(elements, dtype=np.int64).reshape(n, k)
-        ordv = np.array(orders, dtype=np.int64)
+        res = np.array(elements, dtype=np.int64).reshape(len(elements), len(orders))
         # Place values of the lexicographic index: weight[i] = prod(orders[i+1:]).
-        weight = np.array([math.prod(orders[i + 1:]) for i in range(k)], dtype=np.int64)
-        # Accumulated one factor at a time, so no (|G|, |G|, k) temporary exists.
-        mul = np.zeros((n, n), dtype=np.int64)
-        for r, order, w in zip(res.T, orders, weight):
-            term = np.add.outer(r, r)
-            term %= order
-            term *= w
-            mul += term
-        inv = ((-res) % ordv) @ weight
-        diff = mul[inv]  # [g, g'] = index of g' g^-1
+        weight = np.array([math.prod(orders[i + 1:]) for i in range(len(orders))], dtype=np.int64)
         object.__setattr__(self, "_residues", res)
-        object.__setattr__(self, "_mul", mul)
-        object.__setattr__(self, "_diff", diff)
-        object.__setattr__(self, "_inv", inv)
+        object.__setattr__(self, "_weight", weight)
+        object.__setattr__(self, "_inv", ((-res) % np.array(orders, dtype=np.int64)) @ weight)
+
+    def _products(self, a) -> np.ndarray:
+        """Index of a g for every g: shape (|G|,) for an element index ``a``, (m, |G|) for
+        a 1-D array of m. ``_products(_inv)`` is [g, g'] = index of g' g^-1. Summed one
+        factor at a time, so no (..., |G|, k) temporary exists."""
+        a = np.asarray(a, dtype=np.int64)
+        out = np.zeros((*a.shape, self.size), dtype=np.int64)
+        for r, n, w in zip(self._residues.T, self.orders, self._weight):
+            term = r[a][..., None] + r
+            term %= n
+            term *= w
+            out += term
+        return out
 
     @property
     def size(self) -> int:
@@ -87,8 +87,11 @@ class FiniteAbelianGroup:
         return (0,) * len(self.orders)
 
     def element(self, residues) -> tuple[int, ...]:
-        """Canonical (mod-reduced) element tuple; raises GroupMismatch on wrong arity."""
-        t = tuple(int(r) for r in residues)
+        """Canonical (mod-reduced) element tuple; raises GroupMismatch on wrong arity or on
+        a residue that is not an integer (3, 3.0, numpy.int64(3) and -1 are)."""
+        t = tuple(_integer_at_least(r, -math.inf, GroupMismatch,
+                                    f"element residue must be an integer, got {r!r}")
+                  for r in residues)
         if len(t) != len(self.orders):
             raise GroupMismatch(
                 f"element has {len(t)} residues, group has {len(self.orders)} factors"
@@ -108,7 +111,7 @@ class FiniteAbelianGroup:
         return tuple((-x) % n for x, n in zip(a, self.orders))
 
 
-def _integer_at_least(value, minimum: int, error: type, message: str) -> int:
+def _integer_at_least(value, minimum: float, error: type, message: str) -> int:
     """``value`` (3, 3.0, numpy.int64(3)) as an int >= ``minimum``, else ``error(message)``."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):
         if (n := int(value)) == value and n >= minimum:
@@ -231,7 +234,7 @@ def translate_matrix(group: FiniteAbelianGroup, values) -> np.ndarray:
     Fourier transform of f is entrywise nonnegative.
     """
     arr = _as_group_values(group, values)
-    return arr[group._diff]
+    return arr[group._products(group._inv)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,24 @@
+import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import phaseframe as pf
 from phaseframe import groups
+
+
+def broadcast_tables(group, rows=slice(None)):
+    """Products [a, g] = index of a g, quotients [a, g] = index of g a^-1, for a in
+    ``rows`` (every element by default), and inverses, from (rows, |G|, k) broadcasts:
+    the tests' reference for the group's index arithmetic."""
+    res = group._residues
+    ordv = np.array(group.orders, dtype=np.int64)
+    weight = np.array([math.prod(group.orders[i + 1:]) for i in range(len(group.orders))],
+                      dtype=np.int64)
+    mul = ((res[rows, None, :] + res[None, :, :]) % ordv) @ weight
+    diff = ((res[None, :, :] - res[rows, None, :]) % ordv) @ weight
+    return mul, diff, ((-res) % ordv) @ weight
 
 
 @pytest.fixture

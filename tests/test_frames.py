@@ -6,9 +6,12 @@ import pytest
 import phaseframe as pf
 from phaseframe.errors import (
     EvenDimension,
+    InternalInconsistency,
     InvalidDimension,
     NotProjective,
 )
+
+from conftest import broadcast_tables
 
 Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -263,11 +266,12 @@ def test_cocycle_identity_all_triples(qubit_ppp, z2cubed, leonhardt2):
 def test_cocycle_identity_sampled_weyl5(weyl5):
     values = pf.cocycle_table(weyl5).values
     group = weyl5.group
+    mul = broadcast_tables(group)[0]
     rng = np.random.default_rng(23)
     for _ in range(1000):
         a, b, c = rng.integers(group.size, size=3)
-        ab = group._mul[a, b]
-        bc = group._mul[b, c]
+        ab = mul[a, b]
+        bc = mul[b, c]
         assert abs(values[a, b] * values[ab, c] - values[b, c] * values[a, bc]) < 1e-10
 
 
@@ -288,6 +292,14 @@ def test_leonhardt_kernel(leonhardt2):
 def test_z2cubed_kernel(z2cubed):
     assert set(pf.kernel(z2cubed)) == {(0, 0, 0), (1, 0, 0)}
     assert not pf.is_faithful(z2cubed)
+
+
+def test_scalar_operators_not_closed_under_composition_are_an_internal_error():
+    # P_1 = I is scalar but P_1 P_1 = P_2 is not: no projective frame looks like this.
+    frame = pf.ProjectiveFrame(group=pf.make_group([3]), dim=2,
+                               operators=(np.eye(2), np.eye(2), np.diag([1.0, -1.0])))
+    with pytest.raises(InternalInconsistency, match="not closed under composition"):
+        pf.kernel(frame)
 
 
 def test_faithful_frames_have_square_size(weyl3, weyl5, qubit_ppp, tensor_qq):

@@ -1,4 +1,3 @@
-import math
 import struct
 import tracemalloc
 
@@ -20,6 +19,8 @@ from phaseframe.errors import (
 from phaseframe.groups import MAX_GROUP_SIZE
 from phaseframe.linalg import is_psd
 from phaseframe.serialize import phi_csv_bytes
+
+from conftest import broadcast_tables
 
 
 def test_make_group_sizes():
@@ -80,23 +81,24 @@ def test_groups_up_to_the_size_limit_are_admitted(orders, no_enumeration):
         pf.make_group(orders)
 
 
-def broadcast_tables(group):
-    """_mul, _diff and _inv from (|G|, |G|, k) broadcasts, the reference formula."""
-    res = group._residues
-    ordv = np.array(group.orders, dtype=np.int64)
-    weight = np.array([math.prod(group.orders[i + 1:]) for i in range(len(group.orders))],
-                      dtype=np.int64)
-    mul = ((res[:, None, :] + res[None, :, :]) % ordv) @ weight
-    diff = ((res[None, :, :] - res[:, None, :]) % ordv) @ weight
-    return mul, diff, ((-res) % ordv) @ weight
-
-
 @pytest.mark.parametrize("orders", [[], [2], [3, 4], [2] * 5, [11, 11]])
 def test_group_tables_match_the_broadcast_formula(orders):
     group = pf.make_group(orders)
-    for table, reference in zip((group._mul, group._diff, group._inv), broadcast_tables(group)):
+    mul, diff, inv = broadcast_tables(group)
+    pairs = [(group._products(a), mul[a]) for a in range(group.size)]
+    pairs += [(group._products(np.arange(group.size)), mul), (group._products(group._inv), diff),
+              (group._inv, inv)]
+    for table, reference in pairs:
         assert table.dtype == reference.dtype and table.shape == reference.shape
         np.testing.assert_array_equal(table, reference)
+
+
+def test_a_group_holds_no_array_beyond_one_entry_per_element_and_factor():
+    group = pf.make_group([2] * 12)
+    arrays = {name: v for name, v in vars(group).items() if isinstance(v, np.ndarray)}
+    assert {"_residues", "_inv"} <= arrays.keys()
+    for name, array in arrays.items():
+        assert array.size <= group.size * len(group.orders), name
 
 
 def test_group_tables_are_built_without_cubic_temporaries():
@@ -106,7 +108,7 @@ def test_group_tables_are_built_without_cubic_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The two int64 tables take 16 MiB; one (|G|, |G|, 10) temporary takes 80 MiB.
+    # One (|G|, |G|, 10) int64 temporary would take 80 MiB.
     assert peak <= 40 * 2**20
 
 
@@ -148,6 +150,24 @@ def test_element_shape_mismatch():
         g.compose((1, 2, 0), (0, 0))
     with pytest.raises(GroupMismatch):
         pf.character_value(g, (1,), (0, 0))
+
+
+@pytest.mark.parametrize("residue", [1.5, float("nan"), float("inf"), "a", None])
+def test_a_residue_that_is_not_an_integer_is_a_group_mismatch(residue, weyl3):
+    g = weyl3.group
+    table = pf.cocycle_table(weyl3)
+    for call in (g.element, g.index, g.inverse, lambda e: g.compose(e, (0, 0)),
+                 lambda e: pf.character_value(g, e, (1, 1)), weyl3.operator,
+                 lambda e: table.value(e, (0, 0))):
+        with pytest.raises(GroupMismatch, match="residue must be an integer"):
+            call((residue, 0))
+
+
+def test_integer_valued_and_negative_residues_are_elements():
+    g = pf.make_group([3, 3])
+    assert g.element((3.0, np.int64(-1))) == (0, 2)
+    assert g.index((np.int64(3), -4)) == 2
+    assert g.compose((2.0, 1), (-1, 2)) == (1, 0)
 
 
 def test_trivial_character_is_one():

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 import phaseframe as pf
 from phaseframe import serialize
 
+from conftest import broadcast_tables
+
 FRAMES = {
     "weyl3": lambda: pf.weyl_frame(3),
     "weyl5": lambda: pf.weyl_frame(5),
@@ -83,7 +85,7 @@ def test_rephasing_by_a_character_shifts_mu(name, state, k, seed):
     rho = STATES[state](base.dim, seed)
     before, after = certify(base, rho), certify(twisted, rho)
     # F'_j = (1/|G|) sum_g chi_j(g) chi_k(g) P_g = F_{jk}, so mu'(j) = mu(jk).
-    np.testing.assert_allclose(after.mu, before.mu[group._mul[:, k]], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(after.mu, before.mu[broadcast_tables(group)[0][:, k]], rtol=0, atol=1e-12)
     for field in ("is_quantum_state", "is_positively_representable", "boundary"):
         assert getattr(after, field) == getattr(before, field), field
     for field in ("min_mu", "mc_min_eig", "mq_min_eig"):

@@ -14,6 +14,8 @@ from phaseframe import frames
 from phaseframe.cli import main
 from phaseframe.errors import NotAFrame, NotProjective
 
+from conftest import broadcast_tables
+
 # The exact route's cocycle is a table of roots of unity stored within a few ulp, so
 # a defect that is 0 in exact arithmetic reads up to about 16 eps in the oracle's
 # floating-point products; the dense route's bounds are far above this.
@@ -36,7 +38,7 @@ def builtin_stack(name):
 
 def brute_force_identity_residual(group, values):
     """Worst |alpha(a,b) alpha(ab,c) - alpha(b,c) alpha(a,bc)|, one triple at a time."""
-    mul = group._mul
+    mul = broadcast_tables(group)[0]
     worst = 0.0
     for a, b, c in itertools.product(range(group.size), repeat=3):
         lhs = values[a, b] * values[mul[a, b], c]

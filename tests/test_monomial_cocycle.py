@@ -20,6 +20,7 @@ from phaseframe import frames, serialize
 from phaseframe.cli import main
 from phaseframe.errors import NotProjective
 
+from conftest import broadcast_tables
 from test_dual_frame import LADDER, _frame, _scaled_weyl3
 
 BAND = pf.DEFAULT_TOL.band(1.0)
@@ -124,8 +125,9 @@ def test_large_frames_match_dense_products_on_sampled_rows(name, dense_calls):
     group, stack = frame.group, frame.stack()
     table = pf.cocycle_table(frame).values
     rng = np.random.default_rng(3)
-    for a in [1, group.size - 1, *rng.integers(0, group.size, 3)]:
-        target = table[a][:, None, None] * stack[group._mul[a]]
+    rows = [1, group.size - 1, *rng.integers(0, group.size, 3)]
+    for a, ab in zip(rows, broadcast_tables(group, rows)[0]):
+        target = table[a][:, None, None] * stack[ab]
         assert np.max(np.abs(stack[a] @ stack - target)) <= BAND
     svals = np.linalg.svd(stack.reshape(group.size, -1), compute_uv=False)
     np.testing.assert_allclose(svals**2 / group.size, 1.0 / frame.dim, atol=1e-12)
