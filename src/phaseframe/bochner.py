@@ -46,7 +46,7 @@ from .groups import (
 )
 from .linalg import DEFAULT_TOL, Tolerance, _hermitian_residual, max_abs, psd_from_spectrum
 from .representation import QuasiProbRepresentation, characteristic, reconstruct
-from .representation import _characteristic_checked, _represent_checked
+from .representation import _represent_checked, _traces
 
 __all__ = [
     "BochnerCertificate",
@@ -196,10 +196,10 @@ def _certify_rows(
 ) -> list[BochnerCertificate | PhaseFrameError]:
     """The certificate of each state, or the error :func:`certify_state` raises for it.
 
-    States of the right shape are checked together, in the row checks' order and by
-    the tests they own (``_hermitian_residual``, ``groups._normalization``,
-    ``groups._conjugate_symmetry``); a max of magnitudes is exact in any order, so a
-    bulk test passes exactly the rows it passes alone. A rejected state takes its
+    States of the right shape are checked together by the tests the row checks own
+    (``_hermitian_residual``, ``groups._normalization``, ``groups._conjugate_symmetry``,
+    the last after the frame's verification, as there); a max of magnitudes is exact in
+    any order, so a bulk test passes exactly the rows it passes alone. A rejected state takes its
     error from :func:`_row_error`, the rest one :func:`_certify_block`. Entries too
     large for phi or the spectra overflow to inf or NaN, and the row is NonFinite.
     """
@@ -210,46 +210,40 @@ def _certify_rows(
             if (arr := np.asarray(rho, dtype=np.complex128)).shape == (d, d):
                 rows[i] = arr
     live = np.array(list(rows), dtype=int)
-    block = np.array(list(rows.values())).reshape(-1, d, d)
-    phi = np.zeros((len(live), group.size), dtype=np.complex128)
-
-    def keep(passed) -> None:
-        nonlocal live, block, phi
-        live, block, phi = live[passed], block[passed], phi[passed]
-
-    keep(np.isfinite(block).all(axis=(1, 2)))
+    block = np.array(list(rows.values()), dtype=np.complex128).reshape(-1, d, d)
     residual, band = _hermitian_residual(block, tol)
-    keep(~(residual > band))
-    phi = np.array([_characteristic_checked(rep, rows[i]) for i in live]).reshape(-1, group.size)
-    keep(np.isfinite(phi).all(axis=1))
-    keep(_normalization(phi, tol)[1])
+    phi = _traces(rep.frame.stack(), block)
+    passed = (np.isfinite(block).all(axis=(1, 2)) & ~(residual > band)
+              & np.isfinite(phi).all(axis=1) & _normalization(phi, tol)[1])
     out = {}
-    if live.size:
+    if passed.any():
         validate_frame(rep.frame, tol)
-        keep(_conjugate_symmetry(group, phi, tol)[1])
-        out = dict(zip(live.tolist(), _certify_block(rep, [rows[i] for i in live], block, phi, tol)))
+        passed &= _conjugate_symmetry(group, phi, tol)[1]
+        live, block, phi = live[passed], block[passed], phi[passed]  # frees the full block
+        out = dict(zip(live.tolist(), _certify_block(rep, block, phi, tol)))
     return [out[i] if i in out else _row_error(rep, rho, tol) for i, rho in enumerate(states)]
 
 
-def _certify_block(rep: QuasiProbRepresentation, rows: list, block: np.ndarray,
-                   phi: np.ndarray, tol: Tolerance) -> list[BochnerCertificate | PhaseFrameError]:
-    """Certify B checked states: ``rows``, their (B, d, d) ``block`` and (B, |G|) ``phi``.
+def _certify_block(rep: QuasiProbRepresentation, block: np.ndarray, phi: np.ndarray,
+                   tol: Tolerance) -> list[BochnerCertificate | PhaseFrameError]:
+    """Certify B checked states: their (B, d, d) ``block`` and (B, |G|) ``phi``.
 
     The verdicts come from the closed-form spectra of the translate matrices, the
-    oracles from rho's eigenvalues and mu, for all rows at once. Each batched step
-    gives a row the bits it gets alone; mu is one einsum per row, as a batched one is not.
+    oracles from rho's eigenvalues and mu = Tr(rho F_j), for all rows at once. Each
+    batched step, mu's stacked row product included, gives a row the bits it gets alone.
     """
     spectra = (_mq_spectra(rep.frame, phi),  # first: its temporaries are the largest
                (rep.group.size * _fourier_rows(rep.group, phi)).real, np.linalg.eigvalsh(block))
     finite = np.logical_and.reduce([np.isfinite(s).all(axis=1) for s in spectra])
     (mq_psd, mq_min), (mc_psd, mc_min), (state_psd, state_min) = (
         psd_from_spectrum(s, tol) for s in spectra)
+    mus = _traces(rep.fourier_ops, block)
     certs: list[BochnerCertificate | PhaseFrameError] = []
-    for i, arr in enumerate(rows):
+    for i in range(len(block)):
         try:
             if not finite[i]:
                 raise NonFinite("certificate spectra overflow: the operator's entries are too large")
-            mu = _represent_checked(rep, arr, tol)
+            mu = _represent_checked(mus[i], tol)
         except PhaseFrameError as exc:
             certs.append(exc)
             continue

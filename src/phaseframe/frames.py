@@ -179,11 +179,12 @@ _PROJECTIVE = ("unitarity", "projectivity", "cocycle_modulus")
 
 class _Invariants(NamedTuple):
     """One invariant pass at one tolerance: (residual, limit) rows, the Fourier frame
-    bounds, and the cocycle, built on its first call and remembered."""
+    bounds, the cocycle (built on its first call) and whether :func:`_exact_rows` applied."""
 
     residuals: dict[str, tuple[float, float]]
     fourier_bounds: tuple[float, float]
     cocycle: Callable[[], CocycleTable]
+    exact: bool
 
 
 def _roots(L: int) -> np.ndarray:
@@ -349,7 +350,7 @@ def _invariant_pass(frame: ProjectiveFrame, tol: Tolerance) -> _Invariants:
     group, stack, d = frame.group, frame._stack, frame.dim
     n = group.size
     band = tol.band(1.0)
-    residuals, cocycle = _exact_rows(group, stack, band) or _dense_rows(group, stack)
+    residuals, cocycle = (exact := _exact_rows(group, stack, band)) or _dense_rows(group, stack)
     table = {name: (r, band) for name, r in residuals.items()}
     traces = np.trace(stack, axis1=1, axis2=2)
     projective = all(residuals[name] <= band for name in _PROJECTIVE)
@@ -364,7 +365,7 @@ def _invariant_pass(frame: ProjectiveFrame, tol: Tolerance) -> _Invariants:
         a, b = np.square([svals[-1] if n >= d * d else 0.0, svals[0]]) / n
         bounds = (float(a), float(b))
     table["spanning"] = (unspanned, 0)  # matrix dimensions left unspanned
-    return _Invariants(table, bounds, cocycle)
+    return _Invariants(table, bounds, cocycle, exact is not None)
 
 
 def _check(frame: ProjectiveFrame, tol: Tolerance, names) -> _Invariants:

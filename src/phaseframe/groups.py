@@ -191,7 +191,8 @@ def _as_distribution(group: FiniteAbelianGroup, mu, tol: Tolerance = DEFAULT_TOL
 
 
 def _fourier_rows(group: FiniteAbelianGroup, block: np.ndarray) -> np.ndarray:
-    """:func:`fourier_forward` of each row of a (B, |G|) block: one FFT over the group axes."""
+    """:func:`fourier_forward` of each row of a (B, |G|) block: one FFT over the group axes,
+    as ``build_representation`` transforms the frame's stack into the F_j."""
     axes = tuple(range(1, len(group.orders) + 1))
     return np.fft.fftn(block.reshape(-1, *group.orders), axes=axes).reshape(-1, group.size) / group.size
 

@@ -25,8 +25,8 @@ from .errors import (
     NotHermitian,
     NotNormalized,
 )
-from .frames import ProjectiveFrame, validate_frame
-from .groups import _as_distribution, character_table
+from .frames import _FRAME_CHECKS, ProjectiveFrame, _check
+from .groups import _as_distribution
 from .linalg import DEFAULT_TOL, Tolerance, max_abs, require_hermitian
 
 __all__ = [
@@ -46,8 +46,8 @@ class QuasiProbRepresentation:
 
     ``fourier_ops[i]`` and ``dual_ops[i]`` are indexed by the dual element
     ``frame.group.elements[i]`` (the dual of a finite abelian group is
-    identified with the group itself, in the same lexicographic order). Each
-    is copied into one read-only (|G|, d, d) array the representation owns.
+    identified with the group itself, in the same lexicographic order). Each is
+    one read-only (|G|, d, d) array the representation owns, copied if a caller could write to it.
     """
 
     frame: ProjectiveFrame
@@ -56,8 +56,10 @@ class QuasiProbRepresentation:
 
     def __post_init__(self) -> None:
         for name in ("fourier_ops", "dual_ops"):
-            ops = np.array(getattr(self, name), dtype=np.complex128)
-            ops.setflags(write=False)
+            ops = np.asarray(getattr(self, name), dtype=np.complex128)
+            if ops.flags.writeable or ops.base is not None:  # a caller could write to it
+                ops = ops.copy()
+                ops.setflags(write=False)
             object.__setattr__(self, name, ops)
 
     @property
@@ -74,37 +76,41 @@ def build_representation(
 ) -> QuasiProbRepresentation:
     """Fourier-transform a projective frame into a quasi-probability representation.
 
-    F_j = (1/|G|) sum_g chi_j(g) P_g, which the frame conventions force to be
-    Hermitian (NotHermitian beyond ``tol.derived_band(max|F|)``; the kept F_j are
-    symmetrized). The frame is then verified, and for a verified frame
-    sum_g |P_g><P_g| = (|G|/d) I, so the Fourier frame operator is I/d and the
-    canonical dual frame is D_j = d F_j. The reconstruction identity
-    d sum_j |F_j><F_j| = I is asserted at run time.
+    F_j = (1/|G|) sum_g chi_j(g) P_g is one FFT over the group axes of the stack viewed
+    as (*orders, d, d), as :func:`groups.fourier_forward` transforms phi. The frame
+    conventions make the F_j Hermitian (NotHermitian beyond ``derived_band(max|F|)``; the
+    kept F_j are symmetrized), summing to I within ``derived_band(1)``. For a verified
+    frame sum_g |P_g><P_g| = (|G|/d) I, so the dual frame is D_j = d F_j, and by character
+    orthogonality d sum_j |F_j><F_j| = (d/|G|) sum_g |P_g><P_g| = I. On the invariant
+    pass's exact route this holds entrywise within ``band(1)``, rounding aside: each P_g
+    is within s of an irreducible snapped P'_g on its support, 3 s + s^2 <= band(1); Schur
+    orthogonality gives the identity for the P'_g, and as an entry is nonzero in |G|/d of
+    them, the P_g move it by at most 2 s + s^2. The dense route checks it, at ``derived_band(1)``.
     """
     group, n, d = frame.group, frame.group.size, frame.dim
-    fourier = np.tensordot(character_table(group), frame.stack(), axes=([1], [0])) / n
-    deviation = np.abs(fourier - fourier.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = np.flatnonzero(deviation > tol.derived_band(max_abs(fourier)))
-    if bad.size:
-        j = int(bad[0])
-        raise NotHermitian(
-            f"Fourier operator {group.elements[j]} is not Hermitian "
-            f"(deviation {deviation[j]:.3e}); the frame violates the inverse convention"
-        )
-    fourier = 0.5 * (fourier + np.transpose(fourier, (0, 2, 1)).conj())
-    validate_frame(frame, tol)
-    vecs = fourier.reshape(n, d * d)
-    resolution = max_abs(d * (vecs.T @ vecs.conj()) - np.eye(d * d))
-    if resolution > tol.derived_band(1.0):
-        raise InternalInconsistency(
-            f"dual frame fails the reconstruction identity (residual {resolution:.3e})"
-        )
-
-    total = fourier.sum(axis=0)
-    if max_abs(total - np.eye(d)) > tol.derived_band(1.0):
+    axes = tuple(range(len(group.orders)))
+    fourier = np.fft.fftn(frame.stack().reshape(*group.orders, d, d), axes=axes).reshape(n, d, d) / n
+    scale, deviation, step = np.empty(n), np.empty(n), 1 + (1 << 16) // (d * d)
+    for lo in range(0, n, step):  # blocks of about 2^16 entries keep the temporaries small
+        block, adjoint = fourier[lo:lo + step], fourier[lo:lo + step].conj().transpose(0, 2, 1)
+        scale[lo:lo + step] = np.abs(block).max(axis=(1, 2))
+        deviation[lo:lo + step] = np.abs(block - adjoint).max(axis=(1, 2))
+        block[...] = 0.5 * (block + adjoint)
+    if (bad := np.flatnonzero(deviation > tol.derived_band(float(scale.max())))).size:
+        raise NotHermitian(f"Fourier operator {group.elements[bad[0]]} is not Hermitian (deviation "
+                           f"{deviation[bad[0]]:.3e}); the frame violates the inverse convention")
+    if not _check(frame, tol, _FRAME_CHECKS).exact:  # in O(|G| d^4)
+        vecs = fourier.reshape(n, d * d)
+        resolution = max_abs(d * (vecs.T @ vecs.conj()) - np.eye(d * d))
+        if resolution > tol.derived_band(1.0):
+            raise InternalInconsistency(
+                f"dual frame fails the reconstruction identity (residual {resolution:.3e})")
+    if max_abs(fourier.sum(axis=0) - np.eye(d)) > tol.derived_band(1.0):
         raise InternalInconsistency("Fourier operators do not sum to the identity")
-
-    return QuasiProbRepresentation(frame=frame, fourier_ops=fourier, dual_ops=d * fourier)
+    dual = d * fourier
+    for ops in (fourier, dual):  # read-only and owned, so the representation keeps them
+        ops.setflags(write=False)
+    return QuasiProbRepresentation(frame=frame, fourier_ops=fourier, dual_ops=dual)
 
 
 def _require_state_shape(rep: QuasiProbRepresentation, rho, tol: Tolerance) -> np.ndarray:
@@ -124,18 +130,15 @@ def represent(
     The values of a Hermitian operator are real up to rounding; the imaginary
     residue is checked and discarded.
     """
-    return _represent_checked(rep, _require_state_shape(rep, rho, tol), tol)
+    arr = _require_state_shape(rep, rho, tol)
+    return _represent_checked(_traces(rep.fourier_ops, arr[None])[0], tol)
 
 
-def _represent_checked(rep: QuasiProbRepresentation, arr: np.ndarray,
-                       tol: Tolerance) -> np.ndarray:
-    """:func:`represent` of a checked matrix; a batched einsum would change the bits."""
-    mu = np.einsum("jab,ba->j", rep.fourier_ops, arr)
+def _represent_checked(mu: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """:func:`represent`'s values from the complex Tr(rho F_j) of one checked state."""
     imag = float(np.max(np.abs(mu.imag)))
     if imag > tol.derived_band(max(1.0, max_abs(mu))):
-        raise InternalInconsistency(
-            f"quasi-probability values have imaginary residue {imag:.3e}"
-        )
+        raise InternalInconsistency(f"quasi-probability values have imaginary residue {imag:.3e}")
     return mu.real.copy()
 
 
@@ -144,15 +147,21 @@ def characteristic(
 ) -> np.ndarray:
     """Characteristic function phi(g) = Tr(rho P_g) in element lexicographic order;
     NonFinite for a finite operator whose phi overflows."""
-    phi = _characteristic_checked(rep, _require_state_shape(rep, rho, tol))
+    phi = _traces(rep.frame.stack(), _require_state_shape(rep, rho, tol)[None])[0]
     if not np.isfinite(phi).all():
         raise NonFinite("characteristic function overflows: the operator's entries are too large")
     return phi
 
 
-def _characteristic_checked(rep: QuasiProbRepresentation, arr: np.ndarray) -> np.ndarray:
-    """:func:`characteristic` of a checked matrix, one einsum per matrix."""
-    return np.einsum("gab,ba->g", rep.frame.stack(), arr)
+@np.errstate(over="ignore", invalid="ignore")
+def _traces(ops: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Tr(rho O_g) for each rho of a (B, d, d) block and O_g of a (|G|, d, d) stack, as
+    (B, |G|): phi for the frame's stack, complex mu for the F_j. Each product is one
+    flattened rho^T, a (1, d^2) row, times the flattened stack, so numpy keeps its
+    matrix-vector kernel and a row's bits do not depend on B. Overflow reads inf or NaN."""
+    d = block.shape[-1]
+    rows = block.transpose(0, 2, 1).reshape(-1, 1, d * d)
+    return (rows @ ops.reshape(-1, d * d).T)[:, 0, :]
 
 
 def reconstruct(rep: QuasiProbRepresentation, mu) -> np.ndarray:
@@ -213,9 +222,5 @@ def gross_as_dual_distribution(amplitudes, tol: Tolerance = DEFAULT_TOL) -> np.n
     and is frozen here; any fixed relabeling of the index set is equally valid.
     """
     table = gross_wigner_pure(amplitudes, tol)
-    d = table.shape[0]
-    out = np.empty(d * d, dtype=float)
-    for a in range(d):
-        for b in range(d):
-            out[a * d + b] = table[(-b) % d, (-a) % d]
-    return out
+    minus = -np.arange(table.shape[0]) % table.shape[0]
+    return table[minus[None, :], minus[:, None]].ravel()

@@ -211,8 +211,11 @@ def save_frame(frame: ProjectiveFrame, path) -> None:
     layout = json.dumps(np.zeros((frame.dim, frame.dim, 2)).tolist(), indent=2)
     parts = re.split(r"(0\.0)", '"matrix": ' + layout.replace("\n", "\n" + " " * 6))  # entry depth
     text = [pieces[0]]
-    for matrix, piece in zip(stack.view(float).reshape(len(stack), -1), pieces[1:]):
-        parts[1::2] = map(float.__repr__, matrix.tolist())
+    for bits, piece in zip(stack.view(np.uint64).reshape(len(stack), -1), pieces[1:]):
+        keys = bits.tolist()  # bit patterns, so that 0.0 and -0.0 stay apart
+        distinct = np.array(list(set(keys)), dtype=np.uint64)  # a matrix repeats most values
+        reprs = dict(zip(distinct.tolist(), map(float.__repr__, distinct.view(float).tolist())))
+        parts[1::2] = map(reprs.__getitem__, keys)
         text += ["".join(parts), piece]  # one string per matrix keeps the peak memory down
     Path(path).write_text("".join(text) + "\n", encoding="utf-8")
 

@@ -65,12 +65,6 @@ def quadratic_phase_vector(d: int, a: int, b: int) -> np.ndarray:
     return np.exp(-2j * np.pi * ((a * k * k + b * k) % d) / d) / np.sqrt(d)
 
 
-def _is_odd_prime(d: int) -> bool:
-    if d < 3 or d % 2 == 0:
-        return False
-    return all(d % p for p in range(3, int(math.isqrt(d)) + 1, 2))
-
-
 def stabilizer_states(d: int) -> list[np.ndarray]:
     """The d(d+1) stabilizer pure states of an odd prime dimension.
 
@@ -82,7 +76,7 @@ def stabilizer_states(d: int) -> list[np.ndarray]:
     InternalInconsistency.
     """
     d = _require_dim(d)
-    if not _is_odd_prime(d):
+    if d % 2 == 0 or not all(d % p for p in range(3, math.isqrt(d) + 1, 2)):
         raise NotOddPrime(f"stabilizer family needs an odd prime dimension, got {d}")
     vectors = np.concatenate([np.eye(d, dtype=np.complex128), np.stack(
         [quadratic_phase_vector(d, a, b) for a in range(d) for b in range(d)])])

@@ -114,6 +114,20 @@ def test_representation_owns_its_operators():
             ops[0, 0, 0] = 1.0
 
 
+def test_representation_keeps_owned_read_only_arrays_and_copies_views():
+    rep = pf.build_representation(_frame("weyl3"))
+    kept = pf.QuasiProbRepresentation(frame=rep.frame, fourier_ops=rep.fourier_ops,
+                                      dual_ops=rep.dual_ops)
+    assert kept.fourier_ops is rep.fourier_ops and kept.dual_ops is rep.dual_ops
+    base = rep.fourier_ops.copy()
+    view = base[:]
+    view.setflags(write=False)
+    copied = pf.QuasiProbRepresentation(frame=rep.frame, fourier_ops=view, dual_ops=rep.dual_ops)
+    base[0, 0, 0] += 5.0
+    np.testing.assert_array_equal(copied.fourier_ops, rep.fourier_ops)
+    assert not copied.fourier_ops.flags.writeable
+
+
 def test_building_from_caller_arrays_leaves_them_writable():
     weyl3 = _frame("weyl3")
     ops = [op.copy() for op in weyl3.operators]
