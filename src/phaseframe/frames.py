@@ -29,6 +29,7 @@ from .errors import (
     GroupMismatch,
     InternalInconsistency,
     InvalidDimension,
+    NonFinite,
     NotAFrame,
     NotProjective,
 )
@@ -64,8 +65,8 @@ class ProjectiveFrame:
 
     ``operators[i]`` corresponds to ``group.elements[i]`` (lexicographic
     order). ``metadata`` records how the frame was built, for serialization.
-    The operators are copied into one read-only array the frame owns, so the
-    invariant pass it remembers per tolerance cannot go stale.
+    The operators are one read-only array the frame owns (a read-only, owned (|G|, d, d)
+    array is kept, anything else copied), so its remembered invariant passes stay valid.
     """
 
     group: FiniteAbelianGroup
@@ -76,17 +77,22 @@ class ProjectiveFrame:
     _verified: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ops = tuple(as_matrix(op) for op in self.operators)
-        if len(ops) != self.group.size:
-            raise GroupMismatch(
-                f"{len(ops)} operators for a group of size {self.group.size}"
-            )
-        for op in ops:
-            if op.shape != (self.dim, self.dim):
-                raise DimensionMismatch(
-                    f"operator shape {op.shape} does not match dim {self.dim}"
-                )
-        stack = np.stack(ops)
+        try:
+            stack = np.asarray(self.operators, dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+            stack = np.empty(0)
+        if stack.ndim != 3 or not stack.size:  # not one stack: find the operator at fault
+            ops = [as_matrix(op) for op in self.operators]
+            shape = next((op.shape for op in ops if op.shape != (self.dim, self.dim)), None)
+            stack = np.array(ops) if shape is None else np.broadcast_to(0.0, (len(ops), *shape))
+        elif not np.isfinite(stack).all():
+            raise NonFinite(f"matrix of shape {stack.shape[1:]} has NaN or infinite entries")
+        if len(stack) != self.group.size:
+            raise GroupMismatch(f"{len(stack)} operators for a group of size {self.group.size}")
+        if stack.shape[1:] != (self.dim, self.dim):
+            raise DimensionMismatch(f"operator shape {stack.shape[1:]} does not match dim {self.dim}")
+        if stack is self.operators and stack.flags.writeable or stack.base is not None:
+            stack = stack.copy()  # a caller could write to it, or to what it views
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
@@ -475,11 +481,14 @@ def tensor_frame(
     group = FiniteAbelianGroup(a.group.orders + b.group.orders)
     dim = a.dim * b.dim
     # [g, h, i, k, j, l] = P_g[i, j] Q_h[k, l]: np.kron's products, no sums (which would
-    # turn -0.0 into +0.0 and change frame files)
-    ops = a.stack()[:, None, :, None, :, None] * b.stack()[None, :, None, :, None, :]
+    # turn -0.0 into +0.0 and change frame files), taken straight into the frame's stack
+    ops = np.empty((group.size, dim, dim), dtype=np.complex128)
+    np.multiply(a.stack()[:, None, :, None, :, None], b.stack()[None, :, None, :, None, :],
+                out=ops.reshape(a.group.size, b.group.size, a.dim, b.dim, a.dim, b.dim))
+    ops.setflags(write=False)
     frame = ProjectiveFrame(
         group=group,
-        operators=ops.reshape(group.size, dim, dim),
+        operators=ops,
         dim=dim,
         metadata={
             "kind": "tensor",
@@ -576,14 +585,10 @@ def cocycle_table(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> Cocyc
 
 def kernel(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """Group elements mapped to a unit scalar times the identity, as a verified subgroup."""
-    band = tol.band(1.0)
-    d = frame.dim
-    eye = np.eye(d)
-    members: list[int] = []
-    for idx, op in enumerate(frame.operators):
-        c = np.trace(op) / d
-        if abs(abs(c) - 1.0) <= band and max_abs(op - c * eye) <= band:
-            members.append(idx)
+    stack, band = frame.stack(), tol.band(1.0)
+    c = np.trace(stack, axis1=1, axis2=2) / frame.dim
+    members = [i for i in np.flatnonzero(np.abs(np.abs(c) - 1.0) <= band).tolist()
+               if max_abs(stack[i] - c[i] * np.eye(frame.dim)) <= band]
     if not np.isin(frame.group._products(members)[:, members], members).all():
         raise InternalInconsistency("kernel candidates are not closed under composition")
     return [frame.group.elements[i] for i in members]
@@ -615,9 +620,9 @@ def frame_report(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> dict:
     faithful = ker == [frame.group.identity()]
     checks.append(("kernel_subgroup", True, f"{len(ker)} element(s): {ker}"))
     if faithful:  # traces and inner products of the checked operators, scale d
-        traces = [abs(np.trace(op)) for op in frame.operators[1:]]
+        traces = np.abs(np.trace(frame.stack()[1:], axis1=1, axis2=2)).tolist()
         limit = tol.band(frame.dim)
-        record("tracelessness_off_identity", max(traces) if traces else 0.0, limit)
+        record("tracelessness_off_identity", max(traces, default=0.0), limit)
         flat = frame.stack().reshape(frame.group.size, -1)
         gram = flat.conj() @ flat.T - frame.dim * np.eye(frame.group.size)
         record("gram_orthogonality", max_abs(gram), limit)

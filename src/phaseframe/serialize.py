@@ -202,22 +202,29 @@ def save_json(path, obj) -> None:
 
 
 def save_frame(frame: ProjectiveFrame, path) -> None:
-    """Write what :func:`save_json` writes of :func:`frame_to_json`: the stdlib renders the
-    payload with a 0 for each matrix, and each matrix's text is spliced into its slot."""
+    """Stream what :func:`save_json` writes of :func:`frame_to_json` in blocks of matrices, once the
+    stdlib has rendered the payload with a 0 per matrix; each distinct float is rendered once."""
     stack = frame.stack()  # complex128, C-contiguous: viewed as [re, im] pairs
     # Keys sort as dim, elements, group, metadata, schema_version, and an entry holds only its
     # g besides: the first |G| hits are the matrix slots in order, whatever the metadata holds.
     pieces = _dumps(path, _frame_payload(frame, [0] * len(stack))).split('"matrix": 0', len(stack))
     layout = json.dumps(np.zeros((frame.dim, frame.dim, 2)).tolist(), indent=2)
     parts = re.split(r"(0\.0)", '"matrix": ' + layout.replace("\n", "\n" + " " * 6))  # entry depth
-    text = [pieces[0]]
-    for bits, piece in zip(stack.view(np.uint64).reshape(len(stack), -1), pieces[1:]):
-        keys = bits.tolist()  # bit patterns, so that 0.0 and -0.0 stay apart
-        distinct = np.array(list(set(keys)), dtype=np.uint64)  # a matrix repeats most values
-        reprs = dict(zip(distinct.tolist(), map(float.__repr__, distinct.view(float).tolist())))
-        parts[1::2] = map(reprs.__getitem__, keys)
-        text += ["".join(parts), piece]  # one string per matrix keeps the peak memory down
-    Path(path).write_text("".join(text) + "\n", encoding="utf-8")
+    heads = [pieces[0] + parts[0]] + [parts[-1] + piece + parts[0] for piece in pieces[1:-1]]
+    bits = stack.view(np.uint64).reshape(len(stack), -1)  # so that 0.0 and -0.0 stay apart
+    nonzero = (bits << np.uint64(1)) != 0  # the rest are 0.0 and -0.0, told by the sign bit
+    distinct, index = np.unique(bits[nonzero], return_inverse=True)
+    table = np.array(["0.0", "-0.0", *map(float.__repr__, distinct.view(float).tolist())], object)
+    tokens = bits >> np.uint64(63)
+    tokens[nonzero] = index + 2
+    per_block = max(1, 4096 // bits.shape[1])  # whole matrices, about 4096 floats a block
+    with open(path, "w", encoding="utf-8") as out:
+        for lo in range(0, len(stack), per_block):
+            text = ([None] + parts[1:-1]) * min(per_block, len(stack) - lo)  # a slot per token
+            text[::len(parts) - 1] = heads[lo:lo + per_block]  # the text before each matrix
+            text[1::2] = table[tokens[lo:lo + per_block]].ravel().tolist()
+            out.write("".join(text))
+        out.write(parts[-1] + pieces[-1] + "\n")
 
 
 def _read_text(path, what: str) -> tuple[str, bytes]:

@@ -21,6 +21,14 @@ def broadcast_tables(group, rows=slice(None)):
     return mul, diff, ((-res) % ordv) @ weight
 
 
+def qubit_power(k):
+    """The qubit frame tensored with itself k times, one factor at a time."""
+    power = pf.qubit_frame()
+    for _ in range(k - 1):
+        power = pf.tensor_frame(power, pf.qubit_frame())
+    return power
+
+
 @pytest.fixture
 def no_enumeration(monkeypatch):
     """Fail on any group element enumeration, so a missing size guard fails, never hangs."""

@@ -11,7 +11,7 @@ from phaseframe.errors import (
     NotProjective,
 )
 
-from conftest import broadcast_tables
+from conftest import broadcast_tables, qubit_power
 
 Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -292,6 +292,51 @@ def test_leonhardt_kernel(leonhardt2):
 def test_z2cubed_kernel(z2cubed):
     assert set(pf.kernel(z2cubed)) == {(0, 0, 0), (1, 0, 0)}
     assert not pf.is_faithful(z2cubed)
+
+
+def _z2cubed_minus_identity():
+    # P_(1,0,0) = -I: still a frame, whose second kernel element carries the scalar -1.
+    ops = pf.z2cubed_frame().stack() * np.where(np.arange(8) == 4, -1.0, 1.0)[:, None, None]
+    frame = pf.ProjectiveFrame(group=pf.make_group([2, 2, 2]), operators=ops, dim=2)
+    pf.validate_frame(frame)
+    return frame
+
+
+REPORT_FRAMES = {
+    **{f"weyl{d}": (lambda d=d: pf.weyl_frame(d)) for d in (3, 5, 7, 9, 11, 13)},
+    **{f"leonhardt{d}": (lambda d=d: pf.leonhardt_frame(d)) for d in (2, 3, 4, 5, 6)},
+    "z2cubed": pf.z2cubed_frame,
+    "z2cubed-minus-identity": _z2cubed_minus_identity,
+    "qubit-even": pf.qubit_frame,
+    "qubit-odd": lambda: pf.qubit_frame((1, 1, -1)),
+    **{f"qubit^{k}": (lambda k=k: qubit_power(k)) for k in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("name", REPORT_FRAMES)
+def test_kernel_and_report_rows_equal_a_per_operator_loop(name):
+    frame = REPORT_FRAMES[name]()
+    band, d, eye = pf.DEFAULT_TOL.band(1.0), frame.dim, np.eye(frame.dim)
+    kernel, traces = [], []
+    for g, op in zip(frame.group.elements, frame.operators):
+        c = np.trace(op) / d
+        if abs(abs(c) - 1.0) <= band and np.max(np.abs(op - c * eye)) <= band:
+            kernel.append(g)
+        traces.append(np.trace(op))
+    # The stacked traces the kernel and the report take are these, bit for bit.
+    stacked = np.trace(frame.stack(), axis1=1, axis2=2)
+    assert stacked.tobytes() == np.array(traces).tobytes()
+    assert np.trace(frame.stack()[1:], axis1=1, axis2=2).tobytes() == stacked[1:].tobytes()
+    report = pf.frame_report(frame)
+    assert pf.kernel(frame) == report["kernel"] == kernel
+    assert report["faithful"] == (kernel == [frame.group.identity()])
+    rows = {row[0]: row[1:] for row in report["checks"]}
+    assert rows["kernel_subgroup"] == (True, f"{len(kernel)} element(s): {kernel}")
+    value, limit = max((abs(t) for t in traces[1:]), default=0.0), pf.DEFAULT_TOL.band(d)
+    row = (value <= limit, f"residual {value:.3e} (limit {limit:.3e})")
+    assert rows.get("tracelessness_off_identity") == (row if report["faithful"] else None)
+    if name.startswith("z2cubed"):
+        assert kernel == [(0, 0, 0), (1, 0, 0)]
 
 
 def test_scalar_operators_not_closed_under_composition_are_an_internal_error():

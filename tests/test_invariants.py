@@ -278,13 +278,24 @@ def test_new_tolerance_reverifies(count_passes):
 def test_frame_owns_its_operators(weyl3):
     source = np.stack([np.array(op) for op in weyl3.operators])
     frame = pf.ProjectiveFrame(group=weyl3.group, operators=tuple(source), dim=3)
+    whole = pf.ProjectiveFrame(group=weyl3.group, operators=source, dim=3)
     pf.validate_frame(frame)
+    pf.validate_frame(whole)
     source[1] *= 1j
-    np.testing.assert_array_equal(frame.operators[1], weyl3.operators[1])
+    for owner in (frame, whole):
+        np.testing.assert_array_equal(owner.stack(), weyl3.stack())
     assert source.flags.writeable
     pf.validate_frame(frame)
     with pytest.raises(ValueError):
         frame.stack()[1, 0, 0] = 0.0
+    # A read-only array that owns its memory is kept; a read-only view is copied.
+    kept = pf.ProjectiveFrame(group=weyl3.group, operators=weyl3.stack(), dim=3)
+    assert kept.stack() is weyl3.stack()
+    view = source[:]
+    view.setflags(write=False)
+    copied = pf.ProjectiveFrame(group=weyl3.group, operators=view, dim=3)
+    source[1] *= -1j
+    assert copied.stack() is not view and not np.array_equal(copied.stack(), source)
 
 
 def test_cocycle_table_of_a_non_spanning_family():

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -12,6 +13,8 @@ import phaseframe as pf
 from phaseframe import serialize
 from phaseframe.cli import main
 from phaseframe.errors import FrameFileError, NotProjective, ShapeMismatch
+
+from conftest import qubit_power
 
 
 def test_frame_roundtrip_is_bitwise(tmp_path, weyl3):
@@ -162,17 +165,43 @@ def _stdlib_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _tensor_power(k):
-    power = pf.qubit_frame()
-    for _ in range(k - 1):
-        power = pf.tensor_frame(power, pf.qubit_frame())
-    return power
-
-
 def _weyl11_read_back(tmp_path):
     path = tmp_path / "weyl11.json"
     serialize.save_frame(pf.weyl_frame(11), path)
     return serialize.load_frame(path)
+
+
+def _dense_weyl7(tmp_path):
+    # After a random unitary conjugation, few floats in the stack repeat.
+    weyl7, rng = pf.weyl_frame(7), np.random.default_rng(18)
+    u = np.linalg.qr(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))[0]
+    frame = pf.ProjectiveFrame(group=weyl7.group, operators=u @ weyl7.stack() @ u.conj().T, dim=7)
+    assert np.unique(frame.stack().view(np.uint64)).size > 0.95 * 2 * frame.stack().size
+    return frame
+
+
+def _random_z2_pair(tmp_path):
+    # 2 * 48 * 48 = 4608 floats: one matrix holds more than the writer's 4096-float block.
+    rng = np.random.default_rng(48)
+    ops = rng.normal(size=(2, 48, 48)) + 1j * rng.normal(size=(2, 48, 48))
+    return pf.ProjectiveFrame(group=pf.make_group([2]), operators=ops, dim=48)
+
+
+def _partial_last_block(tmp_path):
+    # d = 9 takes 4096 // 162 = 25 matrices a block: |G| = 81 leaves 6 in the last one.
+    return pf.tensor_frame(pf.weyl_frame(3), pf.weyl_frame(3))
+
+
+def _signed_zeros(tmp_path):
+    # Weyl 5 with every other zero real part and every third zero imaginary part negated.
+    ops = pf.weyl_frame(5).stack().copy()
+    parts = ops.view(float).reshape(-1, 2)
+    for part, step in ((parts[:, 0], 2), (parts[:, 1], 3)):
+        zeros = np.flatnonzero(part == 0)[::step]
+        part[zeros] = -0.0
+    signs = np.signbit(parts) & (parts == 0)
+    assert signs.any(axis=0).all() and (~signs & (parts == 0)).any(axis=0).all()
+    return pf.ProjectiveFrame(group=pf.make_group([5, 5]), operators=ops, dim=5)
 
 
 LADDER = {
@@ -181,8 +210,12 @@ LADDER = {
     "z2cubed": lambda tmp: pf.z2cubed_frame(),
     "qubit-even": lambda tmp: pf.qubit_frame((1, 1, 1)),
     "qubit-odd": lambda tmp: pf.qubit_frame((1, 1, -1)),
-    **{f"qubit^{k}": (lambda tmp, k=k: _tensor_power(k)) for k in (2, 3, 4)},
+    **{f"qubit^{k}": (lambda tmp, k=k: qubit_power(k)) for k in (2, 3, 4)},
     "weyl11-read-back": _weyl11_read_back,
+    "weyl7-dense": _dense_weyl7,
+    "z2-random48": _random_z2_pair,
+    "weyl3^2-partial-block": _partial_last_block,
+    "weyl5-signed-zeros": _signed_zeros,
 }
 
 
@@ -192,6 +225,17 @@ def test_save_frame_writes_the_stdlib_indent_encoding(tmp_path, name):
     path = tmp_path / "frame.json"
     serialize.save_frame(frame, path)
     assert path.read_text(encoding="utf-8") == _stdlib_text(serialize.frame_to_json(frame))
+
+
+def test_save_frame_peak_memory_stays_below_the_file_size(tmp_path):
+    frame, path = pf.weyl_frame(13), tmp_path / "weyl13.json"
+    tracemalloc.start()
+    try:
+        serialize.save_frame(frame, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -348,7 +392,8 @@ def test_frame_files_round_trip_byte_for_byte(first, second):
         assert _rewritten(path, serialize.load_frame, serialize.save_frame) == path.read_bytes()
 
 
-@pytest.mark.parametrize("name", [n for n in LADDER if n != "weyl11-read-back"])
+@pytest.mark.parametrize("name", [n for n in LADDER if n not in ("weyl11-read-back",
+                                                                  "z2-random48")])
 def test_ladder_frame_files_round_trip_byte_for_byte(tmp_path, name):
     path = tmp_path / "frame.json"
     serialize.save_frame(LADDER[name](tmp_path), path)
