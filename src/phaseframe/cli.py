@@ -12,8 +12,8 @@ and machine-readable. Exit codes are a contract:
 5  certified: boundary/indeterminate at the working tolerance
 
 Subcommands raise ``PhaseFrameError`` for every error and return a code only
-for a verdict; :func:`main` alone turns an error into ``error: ...`` on
-stderr and exit 1, or exit 2 for a frame file that fails verification.
+for a verdict; :func:`main` alone turns one, or an unwritable output's ``OSError``,
+into ``error: ...`` on stderr and exit 1, or 2 for a frame file that fails verification.
 """
 
 from __future__ import annotations
@@ -122,13 +122,14 @@ def _state_from_args(args, d: int) -> tuple[np.ndarray, dict]:
 
 
 def cmd_group(args) -> int:
+    if (p := args.precision) < 0:
+        raise PhaseFrameError(f"--precision must be >= 0, got {p}")
     group = make_group(args.orders)
     table = character_table(group)
     n = group.size
     print(f"|G| = {n}")
     print("orders = " + " x ".join(str(o) for o in group.orders))
     print("elements (lexicographic): " + " ".join(element_str(g) for g in group.elements))
-    p = args.precision
     print("character table (row = dual index, column = element):")
     for j, g in enumerate(group.elements):
         row = " ".join(f"{z.real:+.{p}f}{z.imag:+.{p}f}j" for z in table[j])
@@ -254,8 +255,9 @@ def _scan_states(args, d: int):
     if args.count is None:
         raise PhaseFrameError(f"family {family!r} requires --count")
     count, seed = args.count, args.seed
-    if count < 0:
-        raise PhaseFrameError(f"--count must be >= 0, got {count}")
+    for flag, value in (("count", count), ("seed", seed)):  # numpy takes no negative seed
+        if value < 0:
+            raise PhaseFrameError(f"--{flag} must be >= 0, got {value}")
     if family == "random-pure":
         matrices = state_lib.random_pure_family(d, count, seed)
     elif family == "random-density":
@@ -364,7 +366,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except PhaseFrameError as exc:
+    except (PhaseFrameError, OSError) as exc:  # OSError: an output file cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FRAME_INVALID if isinstance(exc, _FrameInvalid) else EXIT_USAGE
 

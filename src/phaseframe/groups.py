@@ -190,11 +190,14 @@ def _as_distribution(group: FiniteAbelianGroup, mu, tol: Tolerance = DEFAULT_TOL
     return values
 
 
-def _fourier_rows(group: FiniteAbelianGroup, block: np.ndarray) -> np.ndarray:
-    """:func:`fourier_forward` of each row of a (B, |G|) block: one FFT over the group axes,
-    as ``build_representation`` transforms the frame's stack into the F_j."""
-    axes = tuple(range(1, len(group.orders) + 1))
-    return np.fft.fftn(block.reshape(-1, *group.orders), axes=axes).reshape(-1, group.size) / group.size
+def _fourier_rows(group: FiniteAbelianGroup, block: np.ndarray, axis: int = 1) -> np.ndarray:
+    """(1/|G|) sum_g chi_j(g) x_g along the |G| axis: 1 of a (B, |G|) block of functions, 0 of
+    the (|G|, d, d) stack (the F_j). One FFT over the group axes of an owned complex copy, in
+    place, so no second array of its size exists; the trivial group's copy is its transform."""
+    out = np.array(block, dtype=np.complex128)
+    view = out.reshape(*out.shape[:axis], *group.orders, *out.shape[axis + 1:])
+    np.fft.fftn(view, axes=tuple(range(axis, axis + len(group.orders))), out=view)
+    return np.divide(out, group.size, out=out)
 
 
 def _normalization(phi: np.ndarray, tol: Tolerance):

@@ -26,7 +26,7 @@ from .errors import (
     NotNormalized,
 )
 from .frames import _FRAME_CHECKS, ProjectiveFrame, _check
-from .groups import _as_distribution
+from .groups import _as_distribution, _fourier_rows
 from .linalg import DEFAULT_TOL, Tolerance, max_abs, require_hermitian
 
 __all__ = [
@@ -42,25 +42,23 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class QuasiProbRepresentation:
-    """A projective frame with its Fourier frame and canonical dual frame.
+    """A projective frame with its Fourier frame; the canonical dual frame is D_j = d F_j.
 
-    ``fourier_ops[i]`` and ``dual_ops[i]`` are indexed by the dual element
-    ``frame.group.elements[i]`` (the dual of a finite abelian group is
-    identified with the group itself, in the same lexicographic order). Each is
-    one read-only (|G|, d, d) array the representation owns, copied if a caller could write to it.
+    ``fourier_ops[i]`` is indexed by the dual element ``frame.group.elements[i]`` (the dual
+    of a finite abelian group is identified with the group itself, in the same lexicographic
+    order). It is one read-only (|G|, d, d) array the representation owns, copied if a
+    caller could write to it. The D_j are not stored: :func:`reconstruct` forms them.
     """
 
     frame: ProjectiveFrame
     fourier_ops: np.ndarray
-    dual_ops: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("fourier_ops", "dual_ops"):
-            ops = np.asarray(getattr(self, name), dtype=np.complex128)
-            if ops.flags.writeable or ops.base is not None:  # a caller could write to it
-                ops = ops.copy()
-                ops.setflags(write=False)
-            object.__setattr__(self, name, ops)
+        ops = np.asarray(self.fourier_ops, dtype=np.complex128)
+        if ops.flags.writeable or ops.base is not None:  # a caller could write to it
+            ops = ops.copy()
+            ops.setflags(write=False)
+        object.__setattr__(self, "fourier_ops", ops)
 
     @property
     def dim(self) -> int:
@@ -76,8 +74,8 @@ def build_representation(
 ) -> QuasiProbRepresentation:
     """Fourier-transform a projective frame into a quasi-probability representation.
 
-    F_j = (1/|G|) sum_g chi_j(g) P_g is one FFT over the group axes of the stack viewed
-    as (*orders, d, d), as :func:`groups.fourier_forward` transforms phi. The frame
+    F_j = (1/|G|) sum_g chi_j(g) P_g is one in-place FFT over the group axes of a copy of
+    the stack, by the helper that transforms phi (:func:`groups.fourier_forward`). The frame
     conventions make the F_j Hermitian (NotHermitian beyond ``derived_band(max|F|)``; the
     kept F_j are symmetrized), summing to I within ``derived_band(1)``. For a verified
     frame sum_g |P_g><P_g| = (|G|/d) I, so the dual frame is D_j = d F_j, and by character
@@ -88,8 +86,7 @@ def build_representation(
     them, the P_g move it by at most 2 s + s^2. The dense route checks it, at ``derived_band(1)``.
     """
     group, n, d = frame.group, frame.group.size, frame.dim
-    axes = tuple(range(len(group.orders)))
-    fourier = np.fft.fftn(frame.stack().reshape(*group.orders, d, d), axes=axes).reshape(n, d, d) / n
+    fourier = _fourier_rows(group, frame.stack(), axis=0)
     scale, deviation, step = np.empty(n), np.empty(n), 1 + (1 << 16) // (d * d)
     for lo in range(0, n, step):  # blocks of about 2^16 entries keep the temporaries small
         block, adjoint = fourier[lo:lo + step], fourier[lo:lo + step].conj().transpose(0, 2, 1)
@@ -107,10 +104,8 @@ def build_representation(
                 f"dual frame fails the reconstruction identity (residual {resolution:.3e})")
     if max_abs(fourier.sum(axis=0) - np.eye(d)) > tol.derived_band(1.0):
         raise InternalInconsistency("Fourier operators do not sum to the identity")
-    dual = d * fourier
-    for ops in (fourier, dual):  # read-only and owned, so the representation keeps them
-        ops.setflags(write=False)
-    return QuasiProbRepresentation(frame=frame, fourier_ops=fourier, dual_ops=dual)
+    fourier.setflags(write=False)  # read-only and owned, so the representation keeps it
+    return QuasiProbRepresentation(frame=frame, fourier_ops=fourier)
 
 
 def _require_state_shape(rep: QuasiProbRepresentation, rho, tol: Tolerance) -> np.ndarray:
@@ -165,14 +160,14 @@ def _traces(ops: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(rep: QuasiProbRepresentation, mu) -> np.ndarray:
-    """Operator sum_j mu_j D_j recovering the state represented by mu.
+    """Operator sum_j mu_j D_j, with D_j = d F_j, recovering the state represented by mu.
 
     For mu = represent(rep, rho) this returns rho up to rounding; for
     distributions outside the range of the representation it returns the
     minimum-norm consistent operator.
     """
     values = _as_distribution(rep.group, mu)
-    return np.tensordot(values, rep.dual_ops, axes=([0], [0]))
+    return np.tensordot(values, rep.dim * rep.fourier_ops, axes=([0], [0]))
 
 
 # --------------------------------------------------------------------------

@@ -296,15 +296,19 @@ def load_state(path, *, with_sha256: bool = False):
     return _with_digest(state_from_json(data), raw, with_sha256)
 
 
+def _group_csv_bytes(group: FiniteAbelianGroup, header: list, fields) -> bytes:
+    """CSV of a function on the group: ``header``, then per element its tuple and ``fields``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([element_str(g), *row] for g, row in zip(group.elements, fields))
+    return buf.getvalue().encode("utf-8")
+
+
 def distribution_csv_bytes(group: FiniteAbelianGroup, mu) -> bytes:
     """CSV with header ``index_tuple,mu``, rows in lexicographic dual order."""
     values = _as_distribution(group, mu)
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index_tuple", "mu"])
-    for g, value in zip(group.elements, values):
-        writer.writerow([element_str(g), _g17(value)])
-    return buf.getvalue().encode("utf-8")
+    return _group_csv_bytes(group, ["index_tuple", "mu"], ([_g17(x)] for x in values))
 
 
 def save_distribution_csv(path, group: FiniteAbelianGroup, mu) -> None:
@@ -347,12 +351,8 @@ def load_distribution_csv(path, group: FiniteAbelianGroup, *, with_sha256: bool 
 def phi_csv_bytes(group: FiniteAbelianGroup, phi) -> bytes:
     """CSV of a characteristic function: ``element_tuple,re,im`` per group element."""
     values = _as_group_values(group, phi)
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["element_tuple", "re", "im"])
-    for g, value in zip(group.elements, values):
-        writer.writerow([element_str(g), _g17(value.real), _g17(value.imag)])
-    return buf.getvalue().encode("utf-8")
+    return _group_csv_bytes(group, ["element_tuple", "re", "im"],
+                            ([_g17(z.real), _g17(z.imag)] for z in values))
 
 
 def certificate_to_json(

@@ -340,6 +340,38 @@ def test_scan_requires_count_for_random(frame_files, tmp_path, capsys):
     ]) == 1
 
 
+@pytest.mark.parametrize("family", ["random-pure", "random-density", "random-herm"])
+def test_scan_rejects_a_negative_seed(tmp_path, frame_files, capsys, family):
+    out = tmp_path / "scan.csv"
+    capsys.readouterr()
+    assert main(["scan", "--frame", str(frame_files["weyl3"]), "--family", family,
+                 "--count", "3", "--seed", "-5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --seed must be >= 0, got -5\n")
+    assert not out.exists()
+
+
+def test_group_rejects_a_negative_precision(capsys):
+    assert main(["group", "2", "2", "--precision", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --precision must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["frame", "build", "qubit"],
+    ["represent", "--frame", "{qubit}", "--state", "mixed"],
+    ["certify", "--frame", "{qubit}", "--state", "mixed"],
+    ["scan", "--frame", "{qubit}", "--family", "random-pure", "--count", "2"],
+], ids=["frame-build", "represent", "certify", "scan"])
+def test_an_output_under_a_missing_directory_exits_one(tmp_path, frame_files, capsys, argv):
+    out = tmp_path / "missing" / "out"
+    capsys.readouterr()
+    assert main([a.format(qubit=frame_files["qubit"]) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(out) in err and not out.parent.exists()
+
+
 def test_usage_error_exit_code():
     assert main(["frame", "build", "nosuchkind", "--out", "x.json"]) == 1
 

@@ -52,8 +52,9 @@ def test_dual_ops_equal_the_pinv_canonical_dual(name):
     rep = pf.build_representation(_frame(name))
     a = _rows(rep.fourier_ops)
     frame_operator = a.T @ a.conj()  # sum_j vec(F_j) vec(F_j)^H
-    expected = (np.linalg.pinv(frame_operator) @ a.T).T.reshape(rep.dual_ops.shape)
-    assert np.max(np.abs(rep.dual_ops - expected)) < 1e-12
+    expected = (np.linalg.pinv(frame_operator) @ a.T).T.reshape(rep.fourier_ops.shape)
+    dual = np.stack([pf.reconstruct(rep, e) for e in np.eye(rep.group.size)])  # D_j from e_j
+    assert np.max(np.abs(dual - expected)) < 1e-12
 
 
 def _real_coords(m: np.ndarray) -> np.ndarray:
@@ -102,27 +103,26 @@ def test_build_representation_verifies_its_frame():
 def test_representation_owns_its_operators():
     rep = pf.build_representation(_frame("weyl3"))
     fourier = [op.copy() for op in rep.fourier_ops]
-    dual = [op.copy() for op in rep.dual_ops]
-    owned = pf.QuasiProbRepresentation(frame=rep.frame, fourier_ops=fourier, dual_ops=dual)
-    assert all(op.flags.writeable for op in fourier + dual)
-    for op in fourier + dual:
+    owned = pf.QuasiProbRepresentation(frame=rep.frame, fourier_ops=fourier)
+    assert all(op.flags.writeable for op in fourier)
+    for op in fourier:
         op[0, 0] += 5.0
     np.testing.assert_array_equal(owned.fourier_ops, rep.fourier_ops)
-    np.testing.assert_array_equal(owned.dual_ops, rep.dual_ops)
-    for ops in (owned.fourier_ops, owned.dual_ops):
-        with pytest.raises(ValueError):
-            ops[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        owned.fourier_ops[0, 0, 0] = 1.0
+    with pytest.raises(TypeError):  # the D_j are formed from the F_j, never given
+        pf.QuasiProbRepresentation(frame=rep.frame, fourier_ops=fourier, dual_ops=fourier)
 
 
 def test_representation_keeps_owned_read_only_arrays_and_copies_views():
     rep = pf.build_representation(_frame("weyl3"))
-    kept = pf.QuasiProbRepresentation(frame=rep.frame, fourier_ops=rep.fourier_ops,
-                                      dual_ops=rep.dual_ops)
-    assert kept.fourier_ops is rep.fourier_ops and kept.dual_ops is rep.dual_ops
+    assert rep.fourier_ops.base is None  # the array build_representation transformed, kept as is
+    kept = pf.QuasiProbRepresentation(frame=rep.frame, fourier_ops=rep.fourier_ops)
+    assert kept.fourier_ops is rep.fourier_ops
     base = rep.fourier_ops.copy()
     view = base[:]
     view.setflags(write=False)
-    copied = pf.QuasiProbRepresentation(frame=rep.frame, fourier_ops=view, dual_ops=rep.dual_ops)
+    copied = pf.QuasiProbRepresentation(frame=rep.frame, fourier_ops=view)
     base[0, 0, 0] += 5.0
     np.testing.assert_array_equal(copied.fourier_ops, rep.fourier_ops)
     assert not copied.fourier_ops.flags.writeable

@@ -1,19 +1,24 @@
 """The Fourier-side kernels against the dense forms they replace.
 
-The F_j come from one FFT over the group axes of the stack, and phi and mu for a
-block of states from one stacked row product. These tests hold them to the
-character-table ``tensordot`` and per-state ``einsum`` references over the frame
-ladder, hold a row's bits independent of its block, keep the dense reconstruction
-identity as a test oracle, and check that an overflowing state warns nowhere.
+The F_j come from one in-place FFT over the group axes of a copy of the stack, the
+helper that also transforms blocks of phi, and phi and mu for a block of states from
+one stacked row product. These tests hold them to the character-table ``tensordot``,
+to the out-of-place ``fftn`` expressions the helper replaced, and to per-state
+``einsum`` references over the frame ladder; hold a row's bits independent of its
+block and the Fourier step to one array of its output's size; keep the dense
+reconstruction identity as a test oracle; and check that an overflowing state warns
+nowhere.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import phaseframe as pf
-from phaseframe import representation
+from conftest import qubit_power
+from phaseframe import groups, representation
 from phaseframe.errors import NonFinite
 from test_dual_frame import LADDER, _frame
 
@@ -51,6 +56,38 @@ def test_fft_fourier_operators_match_the_character_table_sum(name):
     dense = np.tensordot(table, frame.stack(), axes=([1], [0])) / frame.group.size
     dense = 0.5 * (dense + dense.conj().transpose(0, 2, 1))
     assert np.abs(rep.fourier_ops - dense).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_fourier_rows_keep_the_bits_of_the_out_of_place_fftn(name):
+    frame = _frame(name)
+    group, n, d = frame.group, frame.group.size, frame.dim
+    phi = frame.stack().reshape(n, d * d).T.copy()  # each matrix entry as a function on the group
+    # the expressions the helper replaced: a new array per FFT axis, then a new one for / n
+    axes = tuple(range(len(group.orders)))
+    fourier = np.fft.fftn(frame.stack().reshape(*group.orders, d, d), axes=axes).reshape(n, d, d) / n
+    axes = tuple(range(1, len(group.orders) + 1))
+    rows = np.fft.fftn(phi.reshape(-1, *group.orders), axes=axes).reshape(-1, group.size) / n
+    assert groups._fourier_rows(group, frame.stack(), axis=0).tobytes() == fourier.tobytes()
+    assert groups._fourier_rows(group, phi).tobytes() == rows.tobytes()
+    hermitian = 0.5 * (fourier + fourier.conj().transpose(0, 2, 1))
+    assert pf.build_representation(frame).fourier_ops.tobytes() == hermitian.tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: qubit_power(5), lambda: pf.weyl_frame(31)],
+                         ids=["qubit^5", "weyl31"])
+def test_the_fourier_step_holds_one_array_of_its_output_size(make):
+    frame = make()
+    pf.validate_frame(frame)  # remembered, so only the Fourier step runs below
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = pf.build_representation(frame)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the F_j and small blocks: no stored D_j, per-axis FFT temporary or copy for the 1/|G|
+    assert peak <= 1.5 * rep.fourier_ops.nbytes
 
 
 @pytest.mark.parametrize("name", KERNEL_LADDER)

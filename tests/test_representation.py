@@ -27,9 +27,9 @@ def test_weyl3_fourier_frame_is_orthogonal(weyl3_rep):
 
 
 def test_weyl3_dual_is_rescaled_fourier(weyl3_rep):
-    for f, d in zip(weyl3_rep.fourier_ops, weyl3_rep.dual_ops):
+    for f, e in zip(weyl3_rep.fourier_ops, np.eye(9)):
         c = pf.trace_inner(f, f).real
-        np.testing.assert_allclose(d, f / c, atol=1e-12)
+        np.testing.assert_allclose(pf.reconstruct(weyl3_rep, e), f / c, atol=1e-12)  # D_j
 
 
 def test_qubit_fourier_ops_and_spectrum(qubit_rep):

@@ -155,8 +155,7 @@ def test_routes_agree_and_survive_unitary_conjugation(name, kind, seed):
 
 def _unverified_rep(rep, operators):
     frame = pf.ProjectiveFrame(group=rep.group, operators=operators, dim=rep.dim)
-    return QuasiProbRepresentation(frame=frame, fourier_ops=rep.fourier_ops,
-                                   dual_ops=rep.dual_ops)
+    return QuasiProbRepresentation(frame=frame, fourier_ops=rep.fourier_ops)
 
 
 def test_an_unverified_non_projective_frame_fails(weyl3_rep):
