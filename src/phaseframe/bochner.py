@@ -167,7 +167,7 @@ def _mq_spectra(frame: ProjectiveFrame, phi: np.ndarray) -> np.ndarray:
     row's bits do not depend on B; the symmetrized rho is exactly Hermitian."""
     n, d = frame.group.size, frame.dim
     # sum_g phi(g) P_g^dag is the adjoint of this sum_g conj(phi(g)) P_g.
-    adj = (phi.conj()[:, None, :] @ frame.stack().reshape(n, d * d)).reshape(-1, d, d)
+    adj = (phi.conj()[:, None, :] @ frame.operators.reshape(n, d * d)).reshape(-1, d, d)
     rho = (d / n) * 0.5 * (adj.conj().transpose(0, 2, 1) + adj)
     finite = np.isfinite(rho).all(axis=(1, 2))
     rho[~finite] = 0  # LAPACK may fail on an overflowed rho; its spectrum reads NaN instead
@@ -212,7 +212,7 @@ def _certify_rows(
     live = np.array(list(rows), dtype=int)
     block = np.array(list(rows.values()), dtype=np.complex128).reshape(-1, d, d)
     residual, band = _hermitian_residual(block, tol)
-    phi = _traces(rep.frame.stack(), block)
+    phi = _traces(rep.frame.operators, block)
     passed = (np.isfinite(block).all(axis=(1, 2)) & ~(residual > band)
               & np.isfinite(phi).all(axis=1) & _normalization(phi, tol)[1])
     out = {}
@@ -287,17 +287,20 @@ def certify_distribution(
 ) -> BochnerCertificate:
     """Certify a distribution by reconstructing its operator first.
 
-    Reconstruction makes distributions inconsistent with any Hermitian trace-1
-    operator fail loudly instead of producing a nonsense verdict. The minimum
-    of the given values is recorded on the certificate; for distributions in
-    the range of the representation it must match the translate-matrix verdict.
+    A distribution that is not the mu of any Hermitian trace-1 operator fails
+    loudly instead of producing a verdict on another distribution: its operator
+    fails the certificate's checks, or that operator's mu differs from the input
+    beyond ``derived_band(max(1, max|mu|))`` (ShapeMismatch, naming the largest
+    deviation). The minimum of the given values is recorded on the certificate.
     """
     values = _as_distribution(rep.group, mu, tol)
     total = float(np.sum(values))
     if abs(total - 1.0) > tol.band(1.0):
         raise NotNormalized(f"distribution sums to {total!r}, expected 1")
-    rho_hat = reconstruct(rep, values)
-    cert = certify_state(rep, rho_hat, tol)
+    cert = certify_state(rep, reconstruct(rep, values), tol)
+    if (worst := max_abs(cert.mu - values)) > tol.derived_band(max(1.0, max_abs(values))):
+        raise ShapeMismatch(f"distribution is outside the range of the representation: the mu "
+                            f"of its reconstructed operator deviates by up to {worst:.3e}")
     return replace(cert, input_mu_min=float(np.min(values)))
 
 

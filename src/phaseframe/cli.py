@@ -76,6 +76,19 @@ def _load_verified_frame(path: str):
         raise _FrameInvalid(f"frame verification failed: {exc}") from exc
 
 
+def _write_files(outputs: dict) -> None:
+    """Write each path's bytes; if a write fails, remove the files this call created
+    before raising, so that a command exiting 1 leaves no new file."""
+    created = [path for path in outputs if not Path(path).exists()]
+    try:
+        for path, data in outputs.items():
+            Path(path).write_bytes(data)
+    except OSError:
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
 # --------------------------------------------------------------------------
 # state specs
 
@@ -157,23 +170,16 @@ def _parse_signs(text: str) -> tuple[int, int, int]:
 
 
 def cmd_frame_build(args) -> int:
-    if args.kind == "weyl":
+    if args.kind in ("weyl", "leonhardt"):
         if args.d is None:
-            raise PhaseFrameError("frame build weyl requires --d")
-        frame = weyl_frame(args.d)
+            raise PhaseFrameError(f"frame build {args.kind} requires --d")
+        frame = (weyl_frame if args.kind == "weyl" else leonhardt_frame)(args.d)
     elif args.kind == "qubit":
-        signs = _parse_signs(args.signs) if args.signs else (1, 1, 1)
-        frame = qubit_frame(signs)
-    elif args.kind == "leonhardt":
-        if args.d is None:
-            raise PhaseFrameError("frame build leonhardt requires --d")
-        frame = leonhardt_frame(args.d)
+        frame = qubit_frame(_parse_signs(args.signs) if args.signs else (1, 1, 1))
     elif args.kind == "tensor":
         if not (args.a and args.b):
             raise PhaseFrameError("frame build tensor requires --a and --b frame files")
-        frame_a, _ = _load_verified_frame(args.a)
-        frame_b, _ = _load_verified_frame(args.b)
-        frame = tensor_frame(frame_a, frame_b)
+        frame = tensor_frame(_load_verified_frame(args.a)[0], _load_verified_frame(args.b)[0])
     else:  # z2cubed; argparse restricts the choices
         frame = z2cubed_frame()
 
@@ -201,11 +207,12 @@ def cmd_represent(args) -> int:
     if not np.isfinite(total):
         raise NonFinite("quasi-probability total overflows: the operator's entries are too large")
     # Every value is computed and checked before the first file is written.
-    phi_csv = phi_csv_bytes(frame.group, characteristic(rep, rho, DEFAULT_TOL)) if args.phi else b""
-    Path(args.out).write_bytes(distribution_csv_bytes(frame.group, mu))
+    outputs = {args.out: distribution_csv_bytes(frame.group, mu)}
+    if args.phi:
+        outputs[args.phi] = phi_csv_bytes(frame.group, characteristic(rep, rho, DEFAULT_TOL))
+    _write_files(outputs)
     print(f"wrote {args.out}: {frame.group.size} rows, total = {total:.12g}")
     if args.phi:
-        Path(args.phi).write_bytes(phi_csv)
         print(f"wrote {args.phi}")
     return EXIT_OK
 

@@ -63,17 +63,16 @@ __all__ = [
 class ProjectiveFrame:
     """Immutable bundle of a group and one unitary per group element.
 
-    ``operators[i]`` corresponds to ``group.elements[i]`` (lexicographic
-    order). ``metadata`` records how the frame was built, for serialization.
-    The operators are one read-only array the frame owns (a read-only, owned (|G|, d, d)
-    array is kept, anything else copied), so its remembered invariant passes stay valid.
+    ``operators`` is one read-only (|G|, d, d) array the frame owns, ``operators[i]``
+    the unitary of ``group.elements[i]`` (lexicographic order): a read-only array that
+    owns its memory is kept, anything else copied, so the remembered invariant passes
+    stay valid. ``metadata`` records how the frame was built, for serialization.
     """
 
     group: FiniteAbelianGroup
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     dim: int
     metadata: Mapping[str, Any] = field(default_factory=dict)
-    _stack: np.ndarray = field(init=False, repr=False)
     _verified: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -94,16 +93,11 @@ class ProjectiveFrame:
         if stack is self.operators and stack.flags.writeable or stack.base is not None:
             stack = stack.copy()  # a caller could write to it, or to what it views
         stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "operators", tuple(stack))
+        object.__setattr__(self, "operators", stack)
         object.__setattr__(self, "metadata", dict(self.metadata))
 
     def operator(self, g) -> np.ndarray:
         return self.operators[self.group.index(g)]
-
-    def stack(self) -> np.ndarray:
-        """The operators as one read-only (|G|, d, d) array."""
-        return self._stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,12 +179,14 @@ _PROJECTIVE = ("unitarity", "projectivity", "cocycle_modulus")
 
 class _Invariants(NamedTuple):
     """One invariant pass at one tolerance: (residual, limit) rows, the Fourier frame
-    bounds, the cocycle (built on its first call) and whether :func:`_exact_rows` applied."""
+    bounds, the cocycle (built on its first call), whether :func:`_exact_rows` applied
+    and the traces Tr P_g."""
 
     residuals: dict[str, tuple[float, float]]
     fourier_bounds: tuple[float, float]
     cocycle: Callable[[], CocycleTable]
     exact: bool
+    traces: np.ndarray
 
 
 def _roots(L: int) -> np.ndarray:
@@ -353,7 +349,7 @@ def _invariant_pass(frame: ProjectiveFrame, tol: Tolerance) -> _Invariants:
     :func:`bochner.mq_spectrum`). Only a frame failing one of those rows or spanning
     takes the O(|G| d^4) SVD, for the rank its message names and its bounds.
     """
-    group, stack, d = frame.group, frame._stack, frame.dim
+    group, stack, d = frame.group, frame.operators, frame.dim
     n = group.size
     band = tol.band(1.0)
     residuals, cocycle = (exact := _exact_rows(group, stack, band)) or _dense_rows(group, stack)
@@ -371,7 +367,7 @@ def _invariant_pass(frame: ProjectiveFrame, tol: Tolerance) -> _Invariants:
         a, b = np.square([svals[-1] if n >= d * d else 0.0, svals[0]]) / n
         bounds = (float(a), float(b))
     table["spanning"] = (unspanned, 0)  # matrix dimensions left unspanned
-    return _Invariants(table, bounds, cocycle, exact is not None)
+    return _Invariants(table, bounds, cocycle, exact is not None, traces)
 
 
 def _check(frame: ProjectiveFrame, tol: Tolerance, names) -> _Invariants:
@@ -398,6 +394,24 @@ def validate_frame(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> None
 # constructors
 
 
+def _verified(group: FiniteAbelianGroup, operators, dim: int, metadata: Mapping[str, Any],
+              tol: Tolerance) -> ProjectiveFrame:
+    """The frame of ``operators``, once it passes :func:`validate_frame` at ``tol``."""
+    frame = ProjectiveFrame(group=group, operators=operators, dim=dim, metadata=metadata)
+    validate_frame(frame, tol)
+    return frame
+
+
+def _clock_shift_frame(d: int, n: int, twist: int, kind: str, tol: Tolerance) -> ProjectiveFrame:
+    """P_(j,l) = exp(-2 pi i twist j l / n) X^(j mod d) Z^(l mod d) over Z_n x Z_n."""
+    group = make_group([n, n])
+    j, l = group._residues.T
+    shift, clock = _shift_clock(d, j % d, l % d)
+    phases = np.exp(-2j * np.pi * np.arange(n) / n)
+    return _verified(group, phases[(twist * j * l) % n, None, None] * (shift @ clock), d,
+                     {"kind": kind, "parameters": {"d": int(d)}}, tol)
+
+
 def weyl_frame(d: int, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
     """Shift/clock frame over Z_d x Z_d for odd d >= 3.
 
@@ -413,19 +427,7 @@ def weyl_frame(d: int, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
             f"even d = {d} has no inverse of 2 mod d for the symmetric phase; use "
             "leonhardt_frame(d), or phase_fix of the operators X^j Z^l"
         )
-    group = make_group([d, d])
-    s = (d + 1) // 2
-    roots = np.exp(-2j * np.pi * np.arange(d) / d)
-    j, l = group._residues.T
-    shift, clock = _shift_clock(d, j, l)
-    frame = ProjectiveFrame(
-        group=group,
-        operators=roots[(s * j * l) % d, None, None] * (shift @ clock),
-        dim=d,
-        metadata={"kind": "weyl", "parameters": {"d": int(d)}},
-    )
-    validate_frame(frame, tol)
-    return frame
+    return _clock_shift_frame(d, d, (d + 1) // 2, "weyl", tol)
 
 
 # I, X, Z, Y: the Pauli X^x Z^z up to phase sits at index x + 2 z.
@@ -449,25 +451,15 @@ def qubit_frame(signs=(1, 1, 1), tol: Tolerance = DEFAULT_TOL) -> ProjectiveFram
         raise InvalidDimension(f"signs must be three entries of +1 or -1, got {signs!r}") from None
     group = make_group([2, 2])
     pauli = group._residues @ [1, 2]  # element (x, z)
-    parity = sx * sz * sy
-    frame = ProjectiveFrame(
-        group=group,
-        operators=np.array([1, sx, sz, sy])[pauli, None, None] * _PAULIS[pauli],
-        dim=2,
-        metadata={"kind": "qubit", "parameters": {"signs": [sx, sz, sy], "parity": parity}},
-    )
-    validate_frame(frame, tol)
-    return frame
+    return _verified(group, np.array([1, sx, sz, sy])[pauli, None, None] * _PAULIS[pauli], 2,
+                     {"kind": "qubit", "parameters": {"signs": [sx, sz, sy],
+                                                      "parity": sx * sz * sy}}, tol)
 
 
 def trivial_frame() -> ProjectiveFrame:
     """One-element frame on a one-dimensional space; neutral for tensor products."""
-    return ProjectiveFrame(
-        group=FiniteAbelianGroup(()),
-        operators=(np.eye(1, dtype=np.complex128),),
-        dim=1,
-        metadata={"kind": "trivial", "parameters": {}},
-    )
+    return _verified(FiniteAbelianGroup(()), np.eye(1, dtype=np.complex128)[None], 1,
+                     {"kind": "trivial", "parameters": {}}, DEFAULT_TOL)
 
 
 def tensor_frame(
@@ -481,22 +473,13 @@ def tensor_frame(
     group = FiniteAbelianGroup(a.group.orders + b.group.orders)
     dim = a.dim * b.dim
     # [g, h, i, k, j, l] = P_g[i, j] Q_h[k, l]: np.kron's products, no sums (which would
-    # turn -0.0 into +0.0 and change frame files), taken straight into the frame's stack
+    # turn -0.0 into +0.0 and change frame files), taken straight into the frame's array
     ops = np.empty((group.size, dim, dim), dtype=np.complex128)
-    np.multiply(a.stack()[:, None, :, None, :, None], b.stack()[None, :, None, :, None, :],
+    np.multiply(a.operators[:, None, :, None, :, None], b.operators[None, :, None, :, None, :],
                 out=ops.reshape(a.group.size, b.group.size, a.dim, b.dim, a.dim, b.dim))
     ops.setflags(write=False)
-    frame = ProjectiveFrame(
-        group=group,
-        operators=ops,
-        dim=dim,
-        metadata={
-            "kind": "tensor",
-            "parameters": {"factors": [dict(a.metadata), dict(b.metadata)]},
-        },
-    )
-    validate_frame(frame, tol)
-    return frame
+    return _verified(group, ops, dim, {"kind": "tensor", "parameters": {
+        "factors": [dict(a.metadata), dict(b.metadata)]}}, tol)
 
 
 def z2cubed_frame(tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
@@ -507,14 +490,8 @@ def z2cubed_frame(tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
     {(0,0,0), (1,0,0)} and the frame is a doubly redundant Pauli basis.
     """
     group = make_group([2, 2, 2])
-    frame = ProjectiveFrame(
-        group=group,
-        operators=_PAULIS[group._residues @ [0, 2, 1]],  # element (k, z, x)
-        dim=2,
-        metadata={"kind": "z2cubed", "parameters": {}},
-    )
-    validate_frame(frame, tol)
-    return frame
+    return _verified(group, _PAULIS[group._residues @ [0, 2, 1]],  # element (k, z, x)
+                     2, {"kind": "z2cubed", "parameters": {}}, tol)
 
 
 def leonhardt_frame(d: int, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
@@ -527,18 +504,7 @@ def leonhardt_frame(d: int, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
     the four elements with both residues in {0, d}.
     """
     d = _integer_at_least(d, 2, InvalidDimension, f"need integer d >= 2, got {d}")
-    group = make_group([2 * d, 2 * d])
-    tau = np.exp(-1j * np.pi * np.arange(2 * d) / d)
-    j, l = group._residues.T
-    shift, clock = _shift_clock(d, j % d, l % d)
-    frame = ProjectiveFrame(
-        group=group,
-        operators=tau[(j * l) % (2 * d), None, None] * (shift @ clock),
-        dim=d,
-        metadata={"kind": "leonhardt", "parameters": {"d": int(d)}},
-    )
-    validate_frame(frame, tol)
-    return frame
+    return _clock_shift_frame(d, 2 * d, 1, "leonhardt", tol)
 
 
 def phase_fix(
@@ -562,14 +528,9 @@ def phase_fix(
     g, inv = np.arange(group.size), group._inv
     correction = values[inv, g].conj()  # conj alpha(g^-1, g)
     mu = np.where(g > inv, correction, np.where((g == inv) & (g > 0), np.sqrt(correction), 1.0))
-    frame = ProjectiveFrame(
-        group=group,
-        operators=mu[:, None, None] * raw.stack(),
-        dim=raw.dim,
-        metadata=dict(metadata) if metadata is not None else {"kind": "phase_fixed", "parameters": {}},
-    )
-    validate_frame(frame, tol)
-    return frame
+    return _verified(group, mu[:, None, None] * raw.operators, raw.dim,
+                     {"kind": "phase_fixed", "parameters": {}} if metadata is None else metadata,
+                     tol)
 
 
 # --------------------------------------------------------------------------
@@ -584,9 +545,10 @@ def cocycle_table(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> Cocyc
 
 
 def kernel(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:
-    """Group elements mapped to a unit scalar times the identity, as a verified subgroup."""
-    stack, band = frame.stack(), tol.band(1.0)
-    c = np.trace(stack, axis1=1, axis2=2) / frame.dim
+    """Group elements mapped to a unit scalar times the identity, as a verified subgroup;
+    the traces are those of the frame's invariant pass at ``tol``."""
+    stack, band = frame.operators, tol.band(1.0)
+    c = _check(frame, tol, ()).traces / frame.dim
     members = [i for i in np.flatnonzero(np.abs(np.abs(c) - 1.0) <= band).tolist()
                if max_abs(stack[i] - c[i] * np.eye(frame.dim)) <= band]
     if not np.isin(frame.group._products(members)[:, members], members).all():
@@ -620,10 +582,9 @@ def frame_report(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> dict:
     faithful = ker == [frame.group.identity()]
     checks.append(("kernel_subgroup", True, f"{len(ker)} element(s): {ker}"))
     if faithful:  # traces and inner products of the checked operators, scale d
-        traces = np.abs(np.trace(frame.stack()[1:], axis1=1, axis2=2)).tolist()
         limit = tol.band(frame.dim)
-        record("tracelessness_off_identity", max(traces, default=0.0), limit)
-        flat = frame.stack().reshape(frame.group.size, -1)
+        record("tracelessness_off_identity", max_abs(found.traces[1:]), limit)
+        flat = frame.operators.reshape(frame.group.size, -1)
         gram = flat.conj() @ flat.T - frame.dim * np.eye(frame.group.size)
         record("gram_orthogonality", max_abs(gram), limit)
 

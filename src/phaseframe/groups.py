@@ -102,13 +102,10 @@ class FiniteAbelianGroup:
         return self._index[self.element(g)]
 
     def compose(self, g, h) -> tuple[int, ...]:
-        a = self.element(g)
-        b = self.element(h)
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
+        return self.element([x + y for x, y in zip(self.element(g), self.element(h))])
 
     def inverse(self, g) -> tuple[int, ...]:
-        a = self.element(g)
-        return tuple((-x) % n for x, n in zip(a, self.orders))
+        return self.element([-x for x in self.element(g)])
 
 
 def _integer_at_least(value, minimum: float, error: type, message: str) -> int:

@@ -86,7 +86,7 @@ def build_representation(
     them, the P_g move it by at most 2 s + s^2. The dense route checks it, at ``derived_band(1)``.
     """
     group, n, d = frame.group, frame.group.size, frame.dim
-    fourier = _fourier_rows(group, frame.stack(), axis=0)
+    fourier = _fourier_rows(group, frame.operators, axis=0)
     scale, deviation, step = np.empty(n), np.empty(n), 1 + (1 << 16) // (d * d)
     for lo in range(0, n, step):  # blocks of about 2^16 entries keep the temporaries small
         block, adjoint = fourier[lo:lo + step], fourier[lo:lo + step].conj().transpose(0, 2, 1)
@@ -142,7 +142,7 @@ def characteristic(
 ) -> np.ndarray:
     """Characteristic function phi(g) = Tr(rho P_g) in element lexicographic order;
     NonFinite for a finite operator whose phi overflows."""
-    phi = _traces(rep.frame.stack(), _require_state_shape(rep, rho, tol)[None])[0]
+    phi = _traces(rep.frame.operators, _require_state_shape(rep, rho, tol)[None])[0]
     if not np.isfinite(phi).all():
         raise NonFinite("characteristic function overflows: the operator's entries are too large")
     return phi

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bochner import BochnerCertificate
 from .errors import FrameFileError, ShapeMismatch
-from .frames import ProjectiveFrame, validate_frame
+from .frames import ProjectiveFrame, _verified
 from .groups import FiniteAbelianGroup, _as_distribution, _as_group_values, _checked_orders
 from .groups import make_group
 from .linalg import DEFAULT_TOL, Tolerance
@@ -108,6 +108,11 @@ def _matrix_from_json(data, may_hold_bools: bool) -> np.ndarray:
     return arr.view(np.complex128)[..., 0]
 
 
+def _require_version(data: dict) -> None:
+    if type(version := data.get("schema_version")) is not int or version != SCHEMA_VERSION:
+        raise FrameFileError(f"unsupported schema_version {version!r}")
+
+
 def _frame_payload(frame: ProjectiveFrame, matrices) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -119,7 +124,7 @@ def _frame_payload(frame: ProjectiveFrame, matrices) -> dict:
 
 
 def frame_to_json(frame: ProjectiveFrame) -> dict:
-    return _frame_payload(frame, matrix_to_json(frame.stack()))
+    return _frame_payload(frame, matrix_to_json(frame.operators))
 
 
 def frame_from_json(data, tol: Tolerance = DEFAULT_TOL) -> ProjectiveFrame:
@@ -140,9 +145,7 @@ def _frame_from_json(data, tol: Tolerance, may_hold_bools: bool) -> ProjectiveFr
         entries = data["elements"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FrameFileError(f"frame file missing required field: {exc}") from exc
-    version = data.get("schema_version")
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise FrameFileError(f"unsupported schema_version {version!r}")
+    _require_version(data)
     try:
         orders = _checked_orders([_json_int(n) for n in orders])
     except (TypeError, ValueError, OverflowError) as exc:
@@ -177,12 +180,9 @@ def _frame_from_json(data, tol: Tolerance, may_hold_bools: bool) -> ProjectiveFr
                 f"operator at {g} has shape {op.shape}, frame dim is {dim}"
             )
         operators.append(op)
-    metadata = data.get("metadata", {})
-    if not isinstance(metadata, dict):
+    if not isinstance(metadata := data.get("metadata", {}), dict):
         raise FrameFileError("metadata must be a JSON object")
-    frame = ProjectiveFrame(group=group, operators=tuple(operators), dim=dim, metadata=metadata)
-    validate_frame(frame, tol)
-    return frame
+    return _verified(group, operators, dim, metadata, tol)
 
 
 def _dumps(path, obj) -> str:
@@ -204,7 +204,7 @@ def save_json(path, obj) -> None:
 def save_frame(frame: ProjectiveFrame, path) -> None:
     """Stream what :func:`save_json` writes of :func:`frame_to_json` in blocks of matrices, once the
     stdlib has rendered the payload with a 0 per matrix; each distinct float is rendered once."""
-    stack = frame.stack()  # complex128, C-contiguous: viewed as [re, im] pairs
+    stack = frame.operators  # complex128, C-contiguous: viewed as [re, im] pairs
     # Keys sort as dim, elements, group, metadata, schema_version, and an entry holds only its
     # g besides: the first |G| hits are the matrix slots in order, whatever the metadata holds.
     pieces = _dumps(path, _frame_payload(frame, [0] * len(stack))).split('"matrix": 0', len(stack))
@@ -279,6 +279,7 @@ def state_from_json(data) -> np.ndarray:
         payload = data["matrix"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FrameFileError(f"state file missing required field: {exc}") from exc
+    _require_version(data)
     arr = matrix_from_json(payload)
     if arr.shape != (dim, dim):
         raise FrameFileError(f"state matrix shape {arr.shape} does not match dim {dim}")

@@ -236,7 +236,7 @@ def test_c06_orthogonality_structure(builtin_frames):
         frame = builtin_frames[name]
         d = frame.dim
         n = frame.group.size
-        stack = frame.stack()
+        stack = frame.operators
         worst_trace = max(
             worst_trace, max(abs(np.trace(op)) for op in frame.operators[1:])
         )

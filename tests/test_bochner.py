@@ -249,6 +249,38 @@ def test_certify_distribution_fails_loudly_on_inconsistent_input(z2cubed_rep):
         pf.certify_distribution(z2cubed_rep, mu)
 
 
+@pytest.mark.parametrize("builder, outside", [
+    (lambda: pf.leonhardt_frame(2), 4),
+    (lambda: pf.leonhardt_frame(4), 16),
+    (pf.z2cubed_frame, 0),
+])
+def test_a_certified_point_mass_is_the_distribution_it_was_given(builder, outside):
+    # Each point mass either fails or is certified as itself. On the unfaithful Leonhardt
+    # frames some reconstruct to an operator whose mu is another distribution, and those
+    # are rejected, naming how far that mu lies from the input.
+    rep = pf.build_representation(builder())
+    n = rep.group.size
+    rejected = 0
+    for j in range(n):
+        mu = np.eye(n)[j]
+        try:
+            cert = pf.certify_distribution(rep, mu)
+        except ShapeMismatch as exc:
+            assert "outside the range of the representation" in str(exc)
+            rejected += 1
+        except NotNormalized:  # all mass on a vanishing F_j
+            continue
+        else:
+            np.testing.assert_allclose(cert.mu, mu, rtol=0, atol=1e-14)
+    assert rejected == outside
+
+
+def test_the_leonhardt_origin_point_mass_names_its_deviation(leonhardt2):
+    mu = np.eye(16)[0]
+    with pytest.raises(ShapeMismatch, match=r"deviates by up to 7\.500e-01$"):
+        pf.certify_distribution(pf.build_representation(leonhardt2), mu)
+
+
 # --------------------------------------------------------------------------
 # equivalence of certificate and direct spectral routes
 

@@ -521,3 +521,46 @@ def test_module_entry_points_run_the_cli(module, tmp_path):
     bad = _run_module(module, "frame", "build", "weyl", "--d")
     assert bad.returncode == 1
     assert "expected one argument" in bad.stderr
+
+
+@pytest.mark.parametrize("name, index, code, error", [
+    ("leonhardt2", 0, 1, "error: distribution is outside the range of the representation: "
+                         "the mu of its reconstructed operator deviates by up to 7.500e-01\n"),
+    ("leonhardt2", 1, 1, "error: trace = 0+0j, expected 1\n"),
+    ("z2cubed", 0, 3, ""),  # in range: its operator is certified, and is not a state
+    ("z2cubed", 4, 1, "error: trace = 0+0j, expected 1\n"),
+])
+def test_certify_distribution_certifies_only_the_distribution_it_was_given(
+        name, index, code, error, tmp_path, frame_files, capsys):
+    group = serialize.load_frame(frame_files[name]).group
+    mu_path, cert_path = tmp_path / "mu.csv", tmp_path / "cert.json"
+    serialize.save_distribution_csv(mu_path, group, np.eye(group.size)[index])
+    capsys.readouterr()
+    assert main(["certify", "--frame", str(frame_files[name]), "--distribution", str(mu_path),
+                 "--out", str(cert_path)]) == code
+    assert capsys.readouterr().err == error
+    if error:
+        assert not cert_path.exists()
+    else:
+        mu = json.loads(cert_path.read_text())["mu"]
+        np.testing.assert_allclose(mu, np.eye(group.size)[index], rtol=0, atol=1e-14)
+
+
+def test_represent_leaves_no_file_when_phi_cannot_be_written(tmp_path, frame_files, capsys):
+    out, phi = tmp_path / "mu.csv", tmp_path / "missing" / "phi.csv"
+    capsys.readouterr()
+    assert main(["represent", "--frame", str(frame_files["qubit"]), "--state", "mixed",
+                 "--out", str(out), "--phi", str(phi)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{phi}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_represent_overwrites_an_existing_out_and_keeps_it_when_phi_fails(tmp_path, frame_files):
+    # Only files the call created are removed: an --out that was there stays.
+    out = tmp_path / "mu.csv"
+    out.write_text("old\n")
+    assert main(["represent", "--frame", str(frame_files["qubit"]), "--state", "mixed",
+                 "--out", str(out), "--phi", str(tmp_path / "missing" / "phi.csv")]) == 1
+    assert out.exists()

@@ -37,7 +37,7 @@ def test_stacked_rows_keep_their_bits_in_any_block_and_match_einsum(name):
     rep = pf.build_representation(_frame(name))
     block = np.array(_states(rep.dim))
     perm = np.random.default_rng(3).permutation(len(block))
-    for ops, public in ((rep.frame.stack(), pf.characteristic), (rep.fourier_ops, pf.represent)):
+    for ops, public in ((rep.frame.operators, pf.characteristic), (rep.fourier_ops, pf.represent)):
         full = representation._traces(ops, block)
         np.testing.assert_array_equal(representation._traces(ops, block[perm]), full[perm])
         for rho, row in zip(block, full):
@@ -53,7 +53,7 @@ def test_fft_fourier_operators_match_the_character_table_sum(name):
     frame = _frame(name)
     rep = pf.build_representation(frame)
     table = pf.character_table(frame.group)
-    dense = np.tensordot(table, frame.stack(), axes=([1], [0])) / frame.group.size
+    dense = np.tensordot(table, frame.operators, axes=([1], [0])) / frame.group.size
     dense = 0.5 * (dense + dense.conj().transpose(0, 2, 1))
     assert np.abs(rep.fourier_ops - dense).max() <= 1e-15
 
@@ -62,13 +62,13 @@ def test_fft_fourier_operators_match_the_character_table_sum(name):
 def test_fourier_rows_keep_the_bits_of_the_out_of_place_fftn(name):
     frame = _frame(name)
     group, n, d = frame.group, frame.group.size, frame.dim
-    phi = frame.stack().reshape(n, d * d).T.copy()  # each matrix entry as a function on the group
+    phi = frame.operators.reshape(n, d * d).T.copy()  # each matrix entry as a function on the group
     # the expressions the helper replaced: a new array per FFT axis, then a new one for / n
     axes = tuple(range(len(group.orders)))
-    fourier = np.fft.fftn(frame.stack().reshape(*group.orders, d, d), axes=axes).reshape(n, d, d) / n
+    fourier = np.fft.fftn(frame.operators.reshape(*group.orders, d, d), axes=axes).reshape(n, d, d) / n
     axes = tuple(range(1, len(group.orders) + 1))
     rows = np.fft.fftn(phi.reshape(-1, *group.orders), axes=axes).reshape(-1, group.size) / n
-    assert groups._fourier_rows(group, frame.stack(), axis=0).tobytes() == fourier.tobytes()
+    assert groups._fourier_rows(group, frame.operators, axis=0).tobytes() == fourier.tobytes()
     assert groups._fourier_rows(group, phi).tobytes() == rows.tobytes()
     hermitian = 0.5 * (fourier + fourier.conj().transpose(0, 2, 1))
     assert pf.build_representation(frame).fourier_ops.tobytes() == hermitian.tobytes()
@@ -104,7 +104,7 @@ def test_the_dual_frame_reconstructs_every_operator_entrywise(name):
 def _dense_route_weyl5() -> pf.ProjectiveFrame:
     weyl5 = pf.weyl_frame(5)
     u = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))[0]
-    return pf.ProjectiveFrame(group=weyl5.group, operators=u @ weyl5.stack() @ u.T, dim=5)
+    return pf.ProjectiveFrame(group=weyl5.group, operators=u @ weyl5.operators @ u.T, dim=5)
 
 
 @pytest.mark.parametrize("make, checked", [(lambda: pf.weyl_frame(5), False),

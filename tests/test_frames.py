@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import phaseframe as pf
+from phaseframe import frames, serialize
 from phaseframe.errors import (
     EvenDimension,
     InternalInconsistency,
@@ -296,7 +297,7 @@ def test_z2cubed_kernel(z2cubed):
 
 def _z2cubed_minus_identity():
     # P_(1,0,0) = -I: still a frame, whose second kernel element carries the scalar -1.
-    ops = pf.z2cubed_frame().stack() * np.where(np.arange(8) == 4, -1.0, 1.0)[:, None, None]
+    ops = pf.z2cubed_frame().operators * np.where(np.arange(8) == 4, -1.0, 1.0)[:, None, None]
     frame = pf.ProjectiveFrame(group=pf.make_group([2, 2, 2]), operators=ops, dim=2)
     pf.validate_frame(frame)
     return frame
@@ -324,9 +325,9 @@ def test_kernel_and_report_rows_equal_a_per_operator_loop(name):
             kernel.append(g)
         traces.append(np.trace(op))
     # The stacked traces the kernel and the report take are these, bit for bit.
-    stacked = np.trace(frame.stack(), axis1=1, axis2=2)
+    stacked = np.trace(frame.operators, axis1=1, axis2=2)
     assert stacked.tobytes() == np.array(traces).tobytes()
-    assert np.trace(frame.stack()[1:], axis1=1, axis2=2).tobytes() == stacked[1:].tobytes()
+    assert np.trace(frame.operators[1:], axis1=1, axis2=2).tobytes() == stacked[1:].tobytes()
     report = pf.frame_report(frame)
     assert pf.kernel(frame) == report["kernel"] == kernel
     assert report["faithful"] == (kernel == [frame.group.identity()])
@@ -472,3 +473,58 @@ def test_frame_operators_are_immutable(weyl3):
     op = weyl3.operator((1, 0))
     with pytest.raises(ValueError):
         op[0, 0] = 5.0
+
+
+# --------------------------------------------------------------------------
+# one operator array per frame, built through one verified exit
+
+
+def _built_frames(weyl3):
+    return {
+        "weyl": weyl3,
+        "leonhardt": pf.leonhardt_frame(2),
+        "qubit": pf.qubit_frame((1, -1, 1)),
+        "z2cubed": pf.z2cubed_frame(),
+        "tensor": pf.tensor_frame(weyl3, pf.qubit_frame()),
+        "phase_fix": pf.phase_fix(weyl3.group, list(weyl3.operators)),
+        "trivial": pf.trivial_frame(),
+        "loaded": serialize.frame_from_json(serialize.frame_to_json(weyl3)),
+    }
+
+
+def test_every_constructor_returns_one_owned_read_only_verified_array(weyl3):
+    for name, frame in _built_frames(weyl3).items():
+        ops = frame.operators
+        assert type(ops) is np.ndarray and ops.dtype == np.complex128, name
+        assert ops.shape == (frame.group.size, frame.dim, frame.dim), name
+        assert ops.base is None and not ops.flags.writeable, name
+        assert pf.DEFAULT_TOL in frame._verified, name  # validated before it was returned
+        assert not hasattr(frame, "stack") and not hasattr(frame, "_stack"), name
+
+
+def _bits(ops):
+    return np.ascontiguousarray(ops).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", range(3, 32, 2))
+def test_weyl_frame_equals_the_symmetric_phase_expression_bit_for_bit(d):
+    # The expression weyl_frame evaluated before it shared one clock-and-shift builder.
+    group = pf.make_group([d, d])
+    s = (d + 1) // 2
+    roots = np.exp(-2j * np.pi * np.arange(d) / d)
+    j, l = group._residues.T
+    shift, clock = frames._shift_clock(d, j, l)
+    reference = roots[(s * j * l) % d, None, None] * (shift @ clock)
+    assert np.array_equal(_bits(pf.weyl_frame(d).operators), _bits(reference))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_leonhardt_frame_equals_the_tau_expression_bit_for_bit(d):
+    # The expression leonhardt_frame evaluated before it shared one clock-and-shift builder:
+    # tau = exp(-i pi k / d), where the builder takes exp(-2 pi i k / 2d).
+    group = pf.make_group([2 * d, 2 * d])
+    tau = np.exp(-1j * np.pi * np.arange(2 * d) / d)
+    j, l = group._residues.T
+    shift, clock = frames._shift_clock(d, j % d, l % d)
+    reference = tau[(j * l) % (2 * d), None, None] * (shift @ clock)
+    assert np.array_equal(_bits(pf.leonhardt_frame(d).operators), _bits(reference))

@@ -62,8 +62,8 @@ def test_a_size_that_is_not_an_integer_is_a_library_error(build, error):
 def test_integer_valued_sizes_build_what_the_int_builds():
     for orders in ([3.0], [np.int64(3), 2.0]):
         assert pf.make_group(orders).orders == tuple(int(n) for n in orders)
-    assert pf.weyl_frame(5.0).stack().tobytes() == pf.weyl_frame(5).stack().tobytes()
-    assert pf.leonhardt_frame(np.int64(2)).stack().tobytes() == pf.leonhardt_frame(2).stack().tobytes()
+    assert pf.weyl_frame(5.0).operators.tobytes() == pf.weyl_frame(5).operators.tobytes()
+    assert pf.leonhardt_frame(np.int64(2)).operators.tobytes() == pf.leonhardt_frame(2).operators.tobytes()
     assert pf.gen_pauli(3.0)[0].tobytes() == pf.gen_pauli(3)[0].tobytes()
     signs = np.array([1.0, -1.0, 1.0])
     assert pf.qubit_frame(signs).metadata == pf.qubit_frame((1, -1, 1)).metadata

@@ -62,6 +62,12 @@ def _certify_distribution(tmp_path, weyl3_file, text):
     return ["certify", "--frame", str(weyl3_file), "--distribution", str(path)]
 
 
+def _state_text_without(key):
+    payload = serialize.state_to_json(pf.maximally_mixed(3))
+    del payload[key]
+    return json.dumps(payload)
+
+
 def _huge_state_text(cells):
     rho = pf.maximally_mixed(3)
     for (a, b), value in cells.items():
@@ -118,6 +124,15 @@ BOUNDARY_CASES = {
     "state-dim-1e400": (_certify_state, _state_text("1e400"),
                         "state file missing required field: "
                         "cannot convert float infinity to integer"),
+    # the state reader read any schema_version, or none, as version 1, and certified
+    "state-schema-2": (_certify_state, _state_text("2", ["schema_version"]),
+                       "unsupported schema_version 2"),
+    "state-schema-string": (_certify_state, _state_text('"x"', ["schema_version"]),
+                            "unsupported schema_version 'x'"),
+    "state-schema-missing": (_certify_state, _state_text_without("schema_version"),
+                             "unsupported schema_version None"),
+    "frame-schema-2": (_certify_frame, _frame_text(["schema_version"], "2"),
+                       "unsupported schema_version 2"),
     # RecursionError from json.loads, csv.Error from the csv module
     "frame-deep": (_certify_frame, "[" * 100_000, "frame file is nested too deeply to parse"),
     "state-deep": (_certify_state, "[" * 100_000, "state file is nested too deeply to parse"),

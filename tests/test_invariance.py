@@ -60,7 +60,7 @@ def test_tensoring_with_the_trivial_frame_changes_nothing(name, tmp_path):
         # The product records its factors in its metadata; everything else is the same
         # file, number for number. Not byte for byte: (1 + 0j) * z can flip the sign of a
         # zero part of z, and the writer keeps -0.0.
-        relabeled = pf.ProjectiveFrame(group=product.group, operators=product.stack(),
+        relabeled = pf.ProjectiveFrame(group=product.group, operators=product.operators,
                                        dim=product.dim, metadata=base.metadata)
         serialize.save_frame(relabeled, tmp_path / f"{side}.json")
         assert (json.loads((tmp_path / f"{side}.json").read_text())
@@ -80,7 +80,7 @@ def test_rephasing_by_a_character_shifts_mu(name, state, k, seed):
     group = base.group
     k %= group.size
     chi = pf.character_table(group)[k]
-    twisted = pf.ProjectiveFrame(group=group, operators=chi[:, None, None] * base.stack(),
+    twisted = pf.ProjectiveFrame(group=group, operators=chi[:, None, None] * base.operators,
                                  dim=base.dim)
     rho = STATES[state](base.dim, seed)
     before, after = certify(base, rho), certify(twisted, rho)
@@ -100,7 +100,7 @@ def test_rephasing_by_unit_scalars_then_phase_fix_keeps_the_quantum_verdict(name
     rng = np.random.default_rng(seed)
     scalars = np.exp(2j * np.pi * rng.uniform(size=base.group.size))
     scalars[0] = 1.0  # P_e stays the identity
-    fixed = pf.phase_fix(base.group, scalars[:, None, None] * base.stack())
+    fixed = pf.phase_fix(base.group, scalars[:, None, None] * base.operators)
     rho = STATES[state](base.dim, seed)
     before, after = certify(base, rho), certify(fixed, rho)
     # The distribution may legitimately change sign; the state's verdict may not.
@@ -137,7 +137,7 @@ def test_relabeling_by_a_group_automorphism_keeps_every_verdict(name, state, see
     a = _automorphism(k, n, np.random.default_rng(seed))
     residues = group._residues
     # P'_g = P_(A g) is again a frame over the same group.
-    ops = base.stack()[_index(group, residues @ a.T)]
+    ops = base.operators[_index(group, residues @ a.T)]
     relabeled = pf.ProjectiveFrame(group=group, operators=ops, dim=base.dim)
     pf.validate_frame(relabeled)
     rho = STATES[state](base.dim, seed)

@@ -33,7 +33,7 @@ def builtin_stack(name):
         "z2cubed": pf.z2cubed_frame,
         "tensor_qq": lambda: pf.tensor_frame(pf.qubit_frame(), pf.qubit_frame()),
     }[name]()
-    return frame.group, frame.stack()
+    return frame.group, frame.operators
 
 
 def brute_force_identity_residual(group, values):
@@ -77,7 +77,7 @@ def count_passes(monkeypatch):
 @pytest.mark.parametrize("name", BUILTIN)
 def test_identity_check_matches_brute_force_on_builtin_tables(name, request):
     frame = request.getfixturevalue(name)
-    bound, brute = identity_row_and_oracle(frame.group, frame.stack())
+    bound, brute = identity_row_and_oracle(frame.group, frame.operators)
     assert brute < 1e-12
     assert brute <= bound + ORACLE_ROUNDING
     assert bound <= pf.DEFAULT_TOL.band(1.0)
@@ -89,7 +89,7 @@ def test_identity_check_matches_brute_force_on_builtin_tables(name, request):
                          ids=["weyl7", "leonhardt3", "qubit_mmm"])
 def test_identity_row_bounds_every_triple_on_larger_builtin_frames(build):
     frame = build()
-    bound, brute = identity_row_and_oracle(frame.group, frame.stack())
+    bound, brute = identity_row_and_oracle(frame.group, frame.operators)
     assert brute <= bound + ORACLE_ROUNDING
     assert bound <= pf.DEFAULT_TOL.band(1.0)
 
@@ -97,7 +97,7 @@ def test_identity_row_bounds_every_triple_on_larger_builtin_frames(build):
 @pytest.mark.parametrize("name", ["weyl3", "leonhardt2", "z2cubed"])
 def test_identity_check_fires_on_one_perturbed_entry(name, request):
     frame = request.getfixturevalue(name)
-    ops = np.array(frame.stack())
+    ops = np.array(frame.operators)
     # A nonzero entry: perturbing a zero one moves the table only at second order.
     ops[1, 0, np.flatnonzero(ops[1, 0])[0]] += 1e-3 * np.exp(0.7j)
     bound, brute = identity_row_and_oracle(frame.group, ops)
@@ -116,7 +116,7 @@ def test_identity_bound_holds_under_every_single_entry_perturbation(name, reques
     # float route: a perturbed zero entry makes the stack non-monomial, a
     # perturbed nonzero one leaves it monomial with a phase that does not snap.
     frame = request.getfixturevalue(name)
-    exact = frame.stack()
+    exact = frame.operators
     worst = 0.0
     for index in itertools.product(*map(range, exact.shape)):
         ops = np.array(exact)
@@ -147,13 +147,13 @@ def test_identity_bound_holds_under_random_noise(name, scale, monomial, seed):
 def test_identity_check_on_the_trivial_group():
     frame = pf.trivial_frame()
     pf.validate_frame(frame)
-    assert identity_row_and_oracle(frame.group, frame.stack()) == (0.0, 0.0)
+    assert identity_row_and_oracle(frame.group, frame.operators) == (0.0, 0.0)
 
 
 def test_identity_check_on_a_non_monomial_stack(weyl3):
     rng = np.random.default_rng(7)
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    ops = u @ weyl3.stack() @ u.conj().T
+    ops = u @ weyl3.operators @ u.conj().T
     assert (ops != 0).sum(axis=1).min() > 1  # the dense route
     bound, brute = identity_row_and_oracle(weyl3.group, ops)
     assert brute <= bound <= pf.DEFAULT_TOL.band(1.0)
@@ -165,7 +165,7 @@ def test_identity_check_on_a_non_monomial_stack(weyl3):
 
 def _rounded_weyl5(q=None) -> pf.ProjectiveFrame:
     """Weyl 5 with entries rounded to 9 decimals, conjugated by the unitary ``q``."""
-    exact = pf.weyl_frame(5).stack()
+    exact = pf.weyl_frame(5).operators
     ops = np.round(exact.real, 9) + 1j * np.round(exact.imag, 9)
     ops = ops if q is None else q @ ops @ q.conj().T
     return pf.ProjectiveFrame(group=pf.make_group([5, 5]), operators=ops, dim=5)
@@ -207,7 +207,7 @@ def test_identity_check_without_a_unitarity_margin_is_infinite_and_nan_fails(wey
     assert np.isnan(frames._cocycle_identity_residual(3, np.nan, 0.0, 0.0))
     assert np.isnan(frames._cocycle_identity_residual(3, 1e-16, np.nan, 0.0))
     assert np.isnan(frames._cocycle_identity_residual(3, 1e-16, 0.0, np.nan))
-    ops = np.array(weyl3.stack())
+    ops = np.array(weyl3.operators)
     ops[4] = 0.0  # P^dag P - I = -I there: u = 1
     assert identity_row_and_oracle(weyl3.group, ops)[0] == np.inf
     with pytest.raises(NotProjective, match="not unitary"):
@@ -283,19 +283,20 @@ def test_frame_owns_its_operators(weyl3):
     pf.validate_frame(whole)
     source[1] *= 1j
     for owner in (frame, whole):
-        np.testing.assert_array_equal(owner.stack(), weyl3.stack())
+        np.testing.assert_array_equal(owner.operators, weyl3.operators)
     assert source.flags.writeable
     pf.validate_frame(frame)
     with pytest.raises(ValueError):
-        frame.stack()[1, 0, 0] = 0.0
-    # A read-only array that owns its memory is kept; a read-only view is copied.
-    kept = pf.ProjectiveFrame(group=weyl3.group, operators=weyl3.stack(), dim=3)
-    assert kept.stack() is weyl3.stack()
+        frame.operators[1, 0, 0] = 0.0
+    # A read-only array that owns its memory, such as another frame's operators, is shared;
+    # a read-only view is copied.
+    kept = pf.ProjectiveFrame(group=weyl3.group, operators=weyl3.operators, dim=3)
+    assert kept.operators is weyl3.operators
     view = source[:]
     view.setflags(write=False)
     copied = pf.ProjectiveFrame(group=weyl3.group, operators=view, dim=3)
     source[1] *= -1j
-    assert copied.stack() is not view and not np.array_equal(copied.stack(), source)
+    assert copied.operators is not view and not np.array_equal(copied.operators, source)
 
 
 def test_cocycle_table_of_a_non_spanning_family():

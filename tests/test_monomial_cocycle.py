@@ -46,7 +46,7 @@ def dense_calls(monkeypatch):
 
 def _rebuilt(frame: pf.ProjectiveFrame, ops=None) -> pf.ProjectiveFrame:
     """An unverified copy, so that no remembered invariant pass is reused."""
-    ops = frame.stack() if ops is None else ops
+    ops = frame.operators if ops is None else ops
     return pf.ProjectiveFrame(group=frame.group, operators=tuple(ops), dim=ops.shape[1])
 
 
@@ -122,7 +122,7 @@ def test_large_frames_match_dense_products_on_sampled_rows(name, dense_calls):
     frame = _rebuilt(_frame(name))
     pf.validate_frame(frame)
     assert dense_calls == []
-    group, stack = frame.group, frame.stack()
+    group, stack = frame.group, frame.operators
     table = pf.cocycle_table(frame).values
     rng = np.random.default_rng(3)
     rows = [1, group.size - 1, *rng.integers(0, group.size, 3)]
@@ -148,7 +148,7 @@ def test_phase_fix_outputs_take_the_exact_route(d, half_steps, dense_calls):
     # A self-inverse element takes a square root of a d-th root of unity: for d = 2
     # and 6 some phases are odd powers of a 2d-th root, which L = 2 exp(G) = 2d
     # covers and exp(G) would not.
-    phases = fixed.stack()[fixed.stack() != 0]
+    phases = fixed.operators[fixed.operators != 0]
     exps = np.angle(phases) * d / (2 * np.pi)
     assert (np.max(np.abs(exps - np.rint(exps))) > 0.4) == half_steps
     snapped = frames._roots(2 * d)[np.rint(-2 * exps).astype(int) % (2 * d)]
@@ -159,7 +159,7 @@ def test_phase_fix_outputs_take_the_exact_route(d, half_steps, dense_calls):
 
 def test_negative_zero_counts_as_zero(dense_calls):
     frame = _frame("weyl5")
-    ops = np.where(frame.stack() == 0, -0.0, frame.stack())
+    ops = np.where(frame.operators == 0, -0.0, frame.operators)
     assert np.signbit(ops.real).any()
     values = pf.cocycle_table(_rebuilt(frame, ops)).values
     assert dense_calls == []
@@ -170,7 +170,7 @@ def test_a_conjugated_frame_takes_the_dense_route(dense_calls):
     frame = _frame("weyl5")
     rng = np.random.default_rng(17)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-    conjugated = _rebuilt(frame, q @ frame.stack() @ q.conj().T)
+    conjugated = _rebuilt(frame, q @ frame.operators @ q.conj().T)
     dense_calls.clear()
     pf.validate_frame(conjugated)
     assert dense_calls == ["_dense_cocycle"]
@@ -197,14 +197,14 @@ def test_certify_and_scan_from_a_file_run_no_dense_products_and_no_svd(tmp_path,
 
 def _sign_flipped() -> pf.ProjectiveFrame:
     frame = _frame("weyl3")
-    ops = frame.stack().copy()
+    ops = frame.operators.copy()
     ops[frame.group.index((1, 1)), :, 0] *= -1.0  # the one nonzero entry of column 0
     return _rebuilt(frame, ops)
 
 
 def _two_columns_one_row() -> pf.ProjectiveFrame:
     frame = _frame("weyl3")
-    ops = frame.stack().copy()
+    ops = frame.operators.copy()
     ops[frame.group.index((1, 0))] = _monomial(np.array([1, 1, 0]), np.ones(3))
     return _rebuilt(frame, ops)
 
@@ -212,7 +212,7 @@ def _two_columns_one_row() -> pf.ProjectiveFrame:
 @pytest.mark.parametrize("build", [_scaled_weyl3, _sign_flipped, _two_columns_one_row])
 def test_failing_families_fail_alike(build, dense_calls):
     frame = build()
-    assert frames._exact_rows(frame.group, frame.stack(), BAND) is None
+    assert frames._exact_rows(frame.group, frame.operators, BAND) is None
     assert _first_failure(_assert_routes_agree(frame)) is not None
 
 
@@ -224,14 +224,14 @@ def test_a_sign_flip_breaks_projectivity():
 def _one_step_bumped() -> pf.ProjectiveFrame:
     # One entry times omega_L, L = 2 exp(G) = 14: still a root, not projective.
     frame = _frame("weyl7")
-    ops = frame.stack().copy()
+    ops = frame.operators.copy()
     ops[frame.group.index((2, 3)), :, 4] *= np.exp(-2j * np.pi / 14)
     return _rebuilt(frame, ops)
 
 
 def _two_rows_swapped() -> pf.ProjectiveFrame:
     frame = _frame("leonhardt4")
-    ops = frame.stack().copy()
+    ops = frame.operators.copy()
     ops[frame.group.index((1, 2)), :, [0, 2]] = ops[frame.group.index((1, 2)), :, [2, 0]]
     return _rebuilt(frame, ops)
 
@@ -239,14 +239,14 @@ def _two_rows_swapped() -> pf.ProjectiveFrame:
 def _identity_negated() -> pf.ProjectiveFrame:
     # P_e = -I: every product still closes up to a root of unity, but alpha(e, g) = -1.
     frame = _frame("weyl3")
-    ops = frame.stack().copy()
+    ops = frame.operators.copy()
     ops[0] *= -1.0
     return _rebuilt(frame, ops)
 
 
 def _perturbed() -> pf.ProjectiveFrame:
     frame = _frame("weyl5")
-    ops = frame.stack().copy()
+    ops = frame.operators.copy()
     ops[frame.group.index((3, 1)), 1, 0] += 1e-6
     return _rebuilt(frame, ops)
 
@@ -292,4 +292,4 @@ def test_rephased_frames_agree(name, seed):
     frame = _frame(name)
     roots = frames._roots(2 * np.lcm.reduce(frame.group.orders))
     phases = roots[np.random.default_rng(seed).integers(0, len(roots), frame.group.size)]
-    _assert_routes_agree(_rebuilt(frame, phases[:, None, None] * frame.stack()))
+    _assert_routes_agree(_rebuilt(frame, phases[:, None, None] * frame.operators))

@@ -23,7 +23,7 @@ def test_frame_roundtrip_is_bitwise(tmp_path, weyl3):
     loaded = serialize.load_frame(path)
     assert loaded.group.orders == weyl3.group.orders
     assert loaded.dim == weyl3.dim
-    assert loaded.stack().tobytes() == weyl3.stack().tobytes()  # signed zeros included
+    assert loaded.operators.tobytes() == weyl3.operators.tobytes()  # signed zeros included
     assert loaded.metadata == weyl3.metadata
 
 
@@ -175,8 +175,8 @@ def _dense_weyl7(tmp_path):
     # After a random unitary conjugation, few floats in the stack repeat.
     weyl7, rng = pf.weyl_frame(7), np.random.default_rng(18)
     u = np.linalg.qr(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))[0]
-    frame = pf.ProjectiveFrame(group=weyl7.group, operators=u @ weyl7.stack() @ u.conj().T, dim=7)
-    assert np.unique(frame.stack().view(np.uint64)).size > 0.95 * 2 * frame.stack().size
+    frame = pf.ProjectiveFrame(group=weyl7.group, operators=u @ weyl7.operators @ u.conj().T, dim=7)
+    assert np.unique(frame.operators.view(np.uint64)).size > 0.95 * 2 * frame.operators.size
     return frame
 
 
@@ -194,7 +194,7 @@ def _partial_last_block(tmp_path):
 
 def _signed_zeros(tmp_path):
     # Weyl 5 with every other zero real part and every third zero imaginary part negated.
-    ops = pf.weyl_frame(5).stack().copy()
+    ops = pf.weyl_frame(5).operators.copy()
     parts = ops.view(float).reshape(-1, 2)
     for part, step in ((parts[:, 0], 2), (parts[:, 1], 3)):
         zeros = np.flatnonzero(part == 0)[::step]
