@@ -45,7 +45,7 @@ from .groups import (
     translate_matrix,
 )
 from .linalg import DEFAULT_TOL, Tolerance, _hermitian_residual, max_abs, psd_from_spectrum
-from .representation import QuasiProbRepresentation, characteristic, reconstruct
+from .representation import QuasiProbRepresentation, characteristic, reconstruct, represent
 from .representation import _represent_checked, _traces
 
 __all__ = [
@@ -288,20 +288,21 @@ def certify_distribution(
     """Certify a distribution by reconstructing its operator first.
 
     A distribution that is not the mu of any Hermitian trace-1 operator fails
-    loudly instead of producing a verdict on another distribution: its operator
-    fails the certificate's checks, or that operator's mu differs from the input
-    beyond ``derived_band(max(1, max|mu|))`` (ShapeMismatch, naming the largest
-    deviation). The minimum of the given values is recorded on the certificate.
+    loudly instead of producing a verdict on another distribution: the mu of its
+    reconstructed operator differs from the input beyond ``derived_band(max(1, max|mu|))``
+    (ShapeMismatch, naming the largest deviation; checked first, so also for an operator
+    of trace 0), or that operator fails the certificate's checks. The minimum of the
+    given values is recorded on the certificate.
     """
     values = _as_distribution(rep.group, mu, tol)
     total = float(np.sum(values))
     if abs(total - 1.0) > tol.band(1.0):
         raise NotNormalized(f"distribution sums to {total!r}, expected 1")
-    cert = certify_state(rep, reconstruct(rep, values), tol)
-    if (worst := max_abs(cert.mu - values)) > tol.derived_band(max(1.0, max_abs(values))):
+    worst = max_abs(represent(rep, rho := reconstruct(rep, values), tol) - values)
+    if worst > tol.derived_band(max(1.0, max_abs(values))):
         raise ShapeMismatch(f"distribution is outside the range of the representation: the mu "
                             f"of its reconstructed operator deviates by up to {worst:.3e}")
-    return replace(cert, input_mu_min=float(np.min(values)))
+    return replace(certify_state(rep, rho, tol), input_mu_min=float(np.min(values)))
 
 
 @dataclass(frozen=True, eq=False)

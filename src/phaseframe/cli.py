@@ -365,9 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)  # not held while the command runs: it dies young
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; fold into the usage code.
         return EXIT_USAGE if exc.code else EXIT_OK

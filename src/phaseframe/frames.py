@@ -64,8 +64,8 @@ class ProjectiveFrame:
     """Immutable bundle of a group and one unitary per group element.
 
     ``operators`` is one read-only (|G|, d, d) array the frame owns, ``operators[i]``
-    the unitary of ``group.elements[i]`` (lexicographic order): a read-only array that
-    owns its memory is kept, anything else copied, so the remembered invariant passes
+    the unitary of ``group.elements[i]`` (lexicographic order): a read-only C-order array
+    that owns its memory is kept, anything else copied, so the remembered invariant passes
     stay valid. ``metadata`` records how the frame was built, for serialization.
     """
 
@@ -90,8 +90,9 @@ class ProjectiveFrame:
             raise GroupMismatch(f"{len(stack)} operators for a group of size {self.group.size}")
         if stack.shape[1:] != (self.dim, self.dim):
             raise DimensionMismatch(f"operator shape {stack.shape[1:]} does not match dim {self.dim}")
-        if stack is self.operators and stack.flags.writeable or stack.base is not None:
-            stack = stack.copy()  # a caller could write to it, or to what it views
+        if (stack is self.operators and stack.flags.writeable or stack.base is not None
+                or not stack.flags.c_contiguous):  # writable by a caller, a view, or not C-order
+            stack = stack.copy()
         stack.setflags(write=False)
         object.__setattr__(self, "operators", stack)
         object.__setattr__(self, "metadata", dict(self.metadata))

@@ -7,7 +7,9 @@ lists, CSV reals with 17 significant digits (full double round-trip).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -249,10 +251,24 @@ def _read_json(path, what: str) -> tuple[object, bytes]:
         raise FrameFileError(f"{what} file is nested too deeply to parse") from exc
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic collector, then restore the state it had. Each loader runs under it:
+    its parse tree is acyclic, so it dies by reference counting on return, still paused."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _with_digest(value, raw: bytes, with_sha256: bool):
     return (value, hashlib.sha256(raw).hexdigest()) if with_sha256 else value
 
 
+@_collector_paused()
 def load_frame(path, tol: Tolerance = DEFAULT_TOL, *, with_sha256: bool = False):
     """Read, parse and verify a frame file; with ``with_sha256``, return
     ``(frame, digest)``, the SHA-256 hex digest of the bytes that were verified."""
@@ -290,6 +306,7 @@ def save_state(rho: np.ndarray, path) -> None:
     save_json(path, state_to_json(rho))
 
 
+@_collector_paused()
 def load_state(path, *, with_sha256: bool = False):
     """Read and parse a state file; with ``with_sha256``, return
     ``(rho, digest)``, the SHA-256 hex digest of the bytes that were parsed."""
@@ -316,6 +333,7 @@ def save_distribution_csv(path, group: FiniteAbelianGroup, mu) -> None:
     Path(path).write_bytes(distribution_csv_bytes(group, mu))
 
 
+@_collector_paused()
 def load_distribution_csv(path, group: FiniteAbelianGroup, *, with_sha256: bool = False):
     """Read a distribution CSV back, enforcing the exact dual index order; with
     ``with_sha256``, return ``(values, digest)`` of the bytes that were parsed."""

@@ -241,11 +241,11 @@ def test_certify_distribution_validation(weyl3_rep):
 
 def test_certify_distribution_fails_loudly_on_inconsistent_input(z2cubed_rep):
     # Mass on a vanishing Fourier component cannot come from any trace-1
-    # operator; reconstruction drops it and the trace check trips.
+    # operator; reconstruction drops it, and the range check names what was dropped.
     mu = np.zeros(8)
     mu[0] = 0.5
     mu[4] = 0.5  # dual index (1,0,0), a zero component
-    with pytest.raises(NotNormalized):
+    with pytest.raises(ShapeMismatch, match=r"outside the range .* up to 5\.000e-01$"):
         pf.certify_distribution(z2cubed_rep, mu)
 
 
@@ -257,7 +257,8 @@ def test_certify_distribution_fails_loudly_on_inconsistent_input(z2cubed_rep):
 def test_a_certified_point_mass_is_the_distribution_it_was_given(builder, outside):
     # Each point mass either fails or is certified as itself. On the unfaithful Leonhardt
     # frames some reconstruct to an operator whose mu is another distribution, and those
-    # are rejected, naming how far that mu lies from the input.
+    # are rejected, naming how far that mu lies from the input. So are those whose operator
+    # has trace 0, such as all mass on a vanishing F_j; they are not counted in ``outside``.
     rep = pf.build_representation(builder())
     n = rep.group.size
     rejected = 0
@@ -267,9 +268,7 @@ def test_a_certified_point_mass_is_the_distribution_it_was_given(builder, outsid
             cert = pf.certify_distribution(rep, mu)
         except ShapeMismatch as exc:
             assert "outside the range of the representation" in str(exc)
-            rejected += 1
-        except NotNormalized:  # all mass on a vanishing F_j
-            continue
+            rejected += abs(np.trace(pf.reconstruct(rep, mu))) > 1e-12
         else:
             np.testing.assert_allclose(cert.mu, mu, rtol=0, atol=1e-14)
     assert rejected == outside

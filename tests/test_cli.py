@@ -526,9 +526,12 @@ def test_module_entry_points_run_the_cli(module, tmp_path):
 @pytest.mark.parametrize("name, index, code, error", [
     ("leonhardt2", 0, 1, "error: distribution is outside the range of the representation: "
                          "the mu of its reconstructed operator deviates by up to 7.500e-01\n"),
-    ("leonhardt2", 1, 1, "error: trace = 0+0j, expected 1\n"),
+    # its operator has trace 0; the range is named, not the trace
+    ("leonhardt2", 1, 1, "error: distribution is outside the range of the representation: "
+                         "the mu of its reconstructed operator deviates by up to 7.500e-01\n"),
     ("z2cubed", 0, 3, ""),  # in range: its operator is certified, and is not a state
-    ("z2cubed", 4, 1, "error: trace = 0+0j, expected 1\n"),
+    ("z2cubed", 4, 1, "error: distribution is outside the range of the representation: "
+                      "the mu of its reconstructed operator deviates by up to 1.000e+00\n"),
 ])
 def test_certify_distribution_certifies_only_the_distribution_it_was_given(
         name, index, code, error, tmp_path, frame_files, capsys):

@@ -1,3 +1,4 @@
+import gc
 import json
 import tempfile
 import tracemalloc
@@ -159,6 +160,84 @@ def test_undecodable_state_and_distribution_files_are_malformed(tmp_path, weyl3)
         serialize.load_distribution_csv(path, weyl3.group)
 
 
+# -- the cyclic collector is paused while a parse tree lives -------------------
+
+@pytest.fixture
+def collections():
+    """The generation of each cyclic collection that starts while the fixture is active."""
+    seen = []
+
+    def record(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.callbacks.append(record)
+    yield seen
+    gc.callbacks.remove(record)
+
+
+def test_reading_files_runs_no_cyclic_collection(tmp_path, collections):
+    # Each parse tree holds thousands of lists, several times the youngest generation's
+    # threshold, so without the pause each read would run collections.
+    frame, state, dist = tmp_path / "weyl13.json", tmp_path / "rho.json", tmp_path / "mu.csv"
+    serialize.save_frame(pf.weyl_frame(13), frame)
+    serialize.save_state(pf.random_density(64, 1), state)  # 4,160 lists
+    group = pf.make_group([64, 64])  # 4,097 row lists
+    serialize.save_distribution_csv(dist, group, np.full(group.size, 1 / group.size))
+    reads = (lambda: serialize.load_frame(frame), lambda: serialize.load_state(state),
+             lambda: serialize.load_distribution_csv(dist, group))
+    # A first pass fills CPython's free lists. An object pushed onto one still counts as
+    # an allocation, so filling them can start one young collection. A full collection
+    # empties them, so only the youngest generation is collected before the counted pass.
+    for read in reads:
+        read()
+    gc.collect(0)
+    collections.clear()
+    for read in reads:
+        read()
+    assert collections == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_reading_a_file_leaves_the_collector_as_it_found_it(tmp_path, weyl3, enabled):
+    good = tmp_path / "weyl3.json"
+    serialize.save_frame(weyl3, good)
+    data = json.loads(good.read_text())
+    data["elements"][4]["matrix"][0][0] = [True, 0.0]
+    (malformed := tmp_path / "malformed.json").write_text(json.dumps(data))
+    data["elements"][4]["matrix"][0][0] = [5.0, 0.0]
+    (tampered := tmp_path / "tampered.json").write_text(json.dumps(data))
+    (not_json := tmp_path / "bad.json").write_text("{not json")
+    missing = tmp_path / "missing.json"
+    serialize.save_state(pf.random_density(3, 2), state := tmp_path / "rho.json")
+    serialize.save_distribution_csv(dist := tmp_path / "mu.csv", weyl3.group, np.full(9, 1 / 9))
+    reads = [
+        (lambda: serialize.load_frame(good), None),
+        (lambda: serialize.load_frame(missing), FrameFileError),
+        (lambda: serialize.load_frame(not_json), FrameFileError),
+        (lambda: serialize.load_frame(malformed), FrameFileError),
+        (lambda: serialize.load_frame(tampered), NotProjective),  # fails verification
+        (lambda: serialize.load_state(state), None),
+        (lambda: serialize.load_state(missing), FrameFileError),
+        (lambda: serialize.load_state(not_json), FrameFileError),
+        (lambda: serialize.load_distribution_csv(dist, weyl3.group), None),
+        (lambda: serialize.load_distribution_csv(missing, weyl3.group), FrameFileError),
+        (lambda: serialize.load_distribution_csv(state, weyl3.group), FrameFileError),
+    ]
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for read, error in reads:
+            if error is None:
+                read()
+            else:
+                with pytest.raises(error):
+                    read()
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
 # -- byte identity with the stdlib indent=2 encoder ---------------------------
 
 def _stdlib_text(payload) -> str:
@@ -225,6 +304,16 @@ def test_save_frame_writes_the_stdlib_indent_encoding(tmp_path, name):
     path = tmp_path / "frame.json"
     serialize.save_frame(frame, path)
     assert path.read_text(encoding="utf-8") == _stdlib_text(serialize.frame_to_json(frame))
+
+
+def test_a_read_only_fortran_order_frame_is_written_as_its_c_order_frame(tmp_path, weyl3):
+    stack = np.asfortranarray(weyl3.operators)  # owns its memory, not C-contiguous
+    stack.setflags(write=False)
+    frame = pf.ProjectiveFrame(group=weyl3.group, operators=stack, dim=3, metadata=weyl3.metadata)
+    assert frame.operators.flags.c_contiguous
+    serialize.save_frame(frame, tmp_path / "fortran.json")
+    serialize.save_frame(weyl3, tmp_path / "c.json")
+    assert (tmp_path / "fortran.json").read_bytes() == (tmp_path / "c.json").read_bytes()
 
 
 def test_save_frame_peak_memory_stays_below_the_file_size(tmp_path):
