@@ -180,14 +180,15 @@ _PROJECTIVE = ("unitarity", "projectivity", "cocycle_modulus")
 
 class _Invariants(NamedTuple):
     """One invariant pass at one tolerance: (residual, limit) rows, the Fourier frame
-    bounds, the cocycle (built on its first call), whether :func:`_exact_rows` applied
-    and the traces Tr P_g."""
+    bounds, the cocycle (built on its first call), whether :func:`_exact_rows` applied,
+    the traces Tr P_g and alpha(g, g^-1) for every g."""
 
     residuals: dict[str, tuple[float, float]]
     fourier_bounds: tuple[float, float]
     cocycle: Callable[[], CocycleTable]
     exact: bool
     traces: np.ndarray
+    inverse_pairs: np.ndarray
 
 
 def _roots(L: int) -> np.ndarray:
@@ -201,8 +202,8 @@ def _roots(L: int) -> np.ndarray:
 
 
 def _exact_rows(group: FiniteAbelianGroup, stack: np.ndarray, band: float):
-    """The invariant rows of a monomial stack, proven from integer exponents, and its
-    cocycle as a remembered thunk; None where this route does not apply.
+    """The invariant rows of a monomial stack, proven from integer exponents, its cocycle
+    as a remembered thunk and alpha'(g, g^-1); None where this route does not apply.
 
     It applies to a column-monomial stack (one entry ``!= 0`` per column: phase[g, c]
     at row rows[g, c]) whose phases lie within s of L-th roots of unity, L = 2 exp(G)
@@ -262,45 +263,58 @@ def _exact_rows(group: FiniteAbelianGroup, stack: np.ndarray, band: float):
         **dict.fromkeys(("cocycle_modulus", "cocycle_left_unit", "cocycle_right_unit",
                          "cocycle_identity"), 0.0),
     }
-    return residuals, cocycle
+    return residuals, cocycle, pairs
 
 
-def _dense_cocycle(group: FiniteAbelianGroup, stack: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best-fit scalars alpha(g, g') and the worst residual |P_g P_g' - alpha P_{gg'}|,
-    from all |G|^2 dense products."""
-    n, d = group.size, stack.shape[1]
-    values, worst = np.empty((n, n), dtype=np.complex128), np.empty(n)
-    for a in range(n):
-        prod = stack[a] @ stack  # (n, d, d)
-        target = stack[group._products(a)]
-        # alpha = <target, prod> / <target, target>; targets are unitary, norm^2 = d.
-        values[a] = alpha = np.einsum("nij,nij->n", target.conj(), prod) / d
-        worst[a] = max_abs(prod - alpha[:, None, None] * target)
-    return values, float(worst.max())
+def _dense_cocycle(group: FiniteAbelianGroup, stack: np.ndarray, rows) -> tuple[np.ndarray, ...]:
+    """Best-fit scalars alpha(a, g) for each a in ``rows`` and every g, and per a the worst
+    ||P_a P_g - alpha P_ag||_F, from dense products in blocks of at most 2^18 entries."""
+    n, d = stack.shape[:2]
+    values, worst = np.empty((len(rows), n), dtype=np.complex128), np.zeros(len(rows))
+    for i, a in enumerate(rows):
+        ag = group._products(a)
+        for block in np.array_split(np.arange(n), 1 + n * d * d // 2**18):
+            prod, target = stack[a] @ stack[block], stack[ag[block]]
+            # alpha = <target, prod> / <target, target>; targets are unitary, norm^2 = d.
+            values[i, block] = alpha = np.einsum("nij,nij->n", target.conj(), prod) / d
+            residual = np.linalg.norm(prod - alpha[:, None, None] * target, axis=(1, 2))
+            worst[i] = np.maximum(worst[i], residual.max())
+    return values, worst
 
 
 def _dense_rows(group: FiniteAbelianGroup, stack: np.ndarray):
-    """The invariant rows of any stack, in floating point, and its cocycle as a thunk."""
+    """The invariant rows of any stack in floating point, its cocycle as a remembered thunk
+    and alpha(g, g^-1), from the k generator rows and O(|G|) more products in blocks. Each
+    unit row reads the products it names; ``projectivity`` and ``cocycle_modulus`` are the
+    bounds of :func:`_projectivity_bound`."""
     n, d = stack.shape[:2]
-    inv = group._inv
-    eye = np.eye(d)
-    adjoints = stack.conj().transpose(0, 2, 1)
-    values, projectivity = _dense_cocycle(group, stack)
-    unitarity = max_abs(adjoints @ stack - eye)
-    modulus = max_abs(np.abs(values) - 1.0)
+    inv, eye = group._inv, np.eye(d)
+    values, worst = _dense_cocycle(group, stack, [*group._weight, 0])  # generators, then e
+    checked, (right, pairs) = np.zeros(2), np.empty((2, n), dtype=np.complex128)
+    for block in np.array_split(np.arange(n), 1 + n * d * d // 2**18):
+        ops = stack[block]
+        adjoints = ops.conj().transpose(0, 2, 1)
+        checked = np.maximum(checked, [max_abs(adjoints @ ops - eye),
+                                       max_abs(adjoints - stack[inv[block]])])
+        right[block] = np.einsum("nij,nij->n", ops.conj(), ops @ stack[0]) / d
+        pairs[block] = np.einsum("ij,nij->n", stack[0].conj(), ops @ stack[inv[block]]) / d
+    unitarity, inverse = checked.tolist()
+    projectivity, modulus = _projectivity_bound(
+        d, sum(group.orders) - len(group.orders), unitarity, np.linalg.norm(stack[0] - eye),
+        worst[:-1].max(initial=0.0), np.abs(values[:-1]).min(initial=np.inf))
     residuals = {
         "unitarity": unitarity,
         "identity_at_origin": max_abs(stack[0] - eye),
-        "inverse_convention": max_abs(adjoints - stack[inv]),
+        "inverse_convention": inverse,
         "projectivity": projectivity,
         "cocycle_modulus": modulus,
-        "cocycle_left_unit": max_abs(values[0, :] - 1.0),
-        "cocycle_right_unit": max_abs(values[:, 0] - 1.0),
-        "cocycle_inverse_pairs": max_abs(values[np.arange(n), inv] - 1.0),
+        "cocycle_left_unit": max_abs(values[-1] - 1.0),
+        "cocycle_right_unit": max_abs(right - 1.0),
+        "cocycle_inverse_pairs": max_abs(pairs - 1.0),
         "cocycle_identity": _cocycle_identity_residual(d, projectivity, modulus, unitarity),
     }
-    table = CocycleTable(group=group, values=values)
-    return residuals, lambda: table
+    table = functools.cache(lambda: CocycleTable(group, _dense_cocycle(group, stack, range(n))[0]))
+    return residuals, table, pairs
 
 
 def _cocycle_identity_residual(d: int, projectivity: float, modulus: float,
@@ -313,25 +327,49 @@ def _cocycle_identity_residual(d: int, projectivity: float, modulus: float,
 
         delta(a,b,c) P_abc = alpha(b,c) R(a,bc) + P_a R(b,c) - alpha(a,b) R(ab,c) - R(a,b) P_c.
 
-    The largest entry of any R is E = ``projectivity``, so ||R||_F <= d E;
+    ||R||_F <= F = ``projectivity``, as :func:`_projectivity_bound` proves;
     |alpha| <= 1 + m with m = ``modulus``; the largest entry of any P^dag P - I
     is u = ``unitarity``, so ||P||_2^2 <= 1 + ||P^dag P - I||_F <= 1 + d u and
     ||P||_F^2 = Tr P^dag P >= d (1 - u). Frobenius norms of both sides, with
     ||X Y||_F <= ||X||_2 ||Y||_F, give every triple
 
-        |delta| <= 2 sqrt(d) E (1 + m + sqrt(1 + d u)) / sqrt(1 - u),
+        |delta| <= 2 F (1 + m + sqrt(1 + d u)) / sqrt(d (1 - u)),
 
-    which is returned (inf when u >= 1; NaN stays NaN). The factor on E, about
-    4 sqrt(d), does not grow with the group, but a frame whose every triple
-    lies inside the band still fails once E exceeds about band / (4 sqrt(d)).
-    Only stacks off the exact route of :func:`_exact_rows` meet this bound: e.g.
-    a Weyl d = 5 frame with entries rounded to 9 decimals and conjugated by a
-    non-monomial unitary. Unconjugated, that frame snaps and passes.
+    which is returned (inf when u >= 1; NaN stays NaN).
     """
     if unitarity >= 1.0:
         return float("inf")
     growth = 1.0 + modulus + math.sqrt(1.0 + d * unitarity)
-    return 2.0 * math.sqrt(d) * projectivity * growth / math.sqrt(1.0 - unitarity)
+    return 2.0 * projectivity * growth / math.sqrt(d * (1.0 - unitarity))
+
+
+def _projectivity_bound(d: int, length: int, unitarity: float, origin: float, worst: float,
+                        low: float) -> tuple[float, float]:
+    """Proven bounds on ||R(a, b)||_F (so on its entries) and ||alpha(a, b)| - 1| over all
+    pairs, R and u as in :func:`_cocycle_identity_residual`, from the generator rows:
+    G = ``worst`` >= ||R(t, g)||_F and r = ``low`` <= |alpha(t, g)|. Here ||P||_2 <= p =
+    sqrt(1 + d u) and d (1 - u) <= ||P||_F^2 <= d (1 + u). For a = t a', let alpha~(e, b) = 1,
+    alpha~(a, b) = alpha~(a', b) alpha(t, a'b) / alpha(t, a') and R~ its R; from P_t P_a' P_b,
+
+        alpha(t, a') R~(a, b) = alpha~(a', b) R(t, a'b) + P_t R~(a', b) - R(t, a') P_b.
+
+    ||R~||_F <= F gives |alpha~| <= A = (p sqrt(1 + u) + F / sqrt(d)) / sqrt(1 - u). From
+    R~(e, b) = (P_e - I) P_b, F_0 = p ``origin`` (||P_e - I||_F) and F_w = (A G + p F_{w-1}
+    + p G) / r bound words of length w <= W = ``length`` = sum (n_i - 1): about 2 W G. As
+    d |alpha - alpha~| <= ||P_ab||_F F + d u |alpha~|, ||R||_F <= (2 + u) F_W + A u
+    sqrt(d (1 + u)), and (1 + u) p >= |alpha| >= (sqrt((1 - u) (1 - d u)) - ||R||_F /
+    sqrt(d)) / sqrt(1 + u). Both are inf without a margin (d u >= 1 or r = 0); NaN stays NaN.
+    """
+    if d * unitarity >= 1.0 or low == 0.0:
+        return math.inf, math.inf
+    u, p = unitarity, math.sqrt(1.0 + d * unitarity)
+    c, e = p * math.sqrt((1.0 + u) / (1.0 - u)), 1.0 / math.sqrt(d * (1.0 - u))  # A = c + e F
+    F = p * origin
+    for _ in range(length):  # np.maximum keeps a NaN
+        F = np.maximum(F, ((c + e * F) * worst + p * F + p * worst) / low)
+    bound = (2.0 + u) * F + (c + e * F) * u * math.sqrt(d * (1.0 + u))
+    low_fit = (math.sqrt((1.0 - u) * (1.0 - d * u)) - bound / math.sqrt(d)) / math.sqrt(1.0 + u)
+    return float(bound), float(np.maximum((1.0 + u) * p - 1.0, 1.0 - low_fit))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -353,10 +391,10 @@ def _invariant_pass(frame: ProjectiveFrame, tol: Tolerance) -> _Invariants:
     group, stack, d = frame.group, frame.operators, frame.dim
     n = group.size
     band = tol.band(1.0)
-    residuals, cocycle = (exact := _exact_rows(group, stack, band)) or _dense_rows(group, stack)
-    table = {name: (r, band) for name, r in residuals.items()}
+    rows, cocycle, pairs = (exact := _exact_rows(group, stack, band)) or _dense_rows(group, stack)
+    table = {name: (r, band) for name, r in rows.items()}
     traces = np.trace(stack, axis1=1, axis2=2)
-    projective = all(residuals[name] <= band for name in _PROJECTIVE)
+    projective = all(rows[name] <= band for name in _PROJECTIVE)
     if projective and np.vdot(traces, traces).real < 1.5 * n:
         unspanned, bounds = 0, (1.0 / d, 1.0 / d)
     else:
@@ -368,7 +406,7 @@ def _invariant_pass(frame: ProjectiveFrame, tol: Tolerance) -> _Invariants:
         a, b = np.square([svals[-1] if n >= d * d else 0.0, svals[0]]) / n
         bounds = (float(a), float(b))
     table["spanning"] = (unspanned, 0)  # matrix dimensions left unspanned
-    return _Invariants(table, bounds, cocycle, exact is not None, traces)
+    return _Invariants(table, bounds, cocycle, exact is not None, traces, pairs)
 
 
 def _check(frame: ProjectiveFrame, tol: Tolerance, names) -> _Invariants:
@@ -525,9 +563,9 @@ def phase_fix(
     """
     ops = tuple(as_matrix(op) for op in operators)
     raw = ProjectiveFrame(group=group, operators=ops, dim=len(ops[0]) if ops else 0)
-    values = _check(raw, tol, ("unitarity", "identity_at_origin", "projectivity")).cocycle().values
+    found = _check(raw, tol, ("unitarity", "identity_at_origin", "projectivity"))
     g, inv = np.arange(group.size), group._inv
-    correction = values[inv, g].conj()  # conj alpha(g^-1, g)
+    correction = found.inverse_pairs[inv].conj()  # conj alpha(g^-1, g)
     mu = np.where(g > inv, correction, np.where((g == inv) & (g > 0), np.sqrt(correction), 1.0))
     return _verified(group, mu[:, None, None] * raw.operators, raw.dim,
                      {"kind": "phase_fixed", "parameters": {}} if metadata is None else metadata,
@@ -547,9 +585,10 @@ def cocycle_table(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> Cocyc
 
 def kernel(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """Group elements mapped to a unit scalar times the identity, as a verified subgroup;
-    the traces are those of the frame's invariant pass at ``tol``."""
+    the traces are those of the frame's invariant pass at ``tol``. A frame that is not a
+    unitary projective representation has none: that raises NotProjective."""
     stack, band = frame.operators, tol.band(1.0)
-    c = _check(frame, tol, ()).traces / frame.dim
+    c = _check(frame, tol, _PROJECTIVE).traces / frame.dim
     members = [i for i in np.flatnonzero(np.abs(np.abs(c) - 1.0) <= band).tolist()
                if max_abs(stack[i] - c[i] * np.eye(frame.dim)) <= band]
     if not np.isin(frame.group._products(members)[:, members], members).all():
@@ -579,9 +618,12 @@ def frame_report(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> dict:
     for name in _REPORT_CHECKS:
         record(name, *found.residuals[name])
 
-    ker = kernel(frame, tol)
+    try:
+        ker, failure = kernel(frame, tol), None
+    except (NotProjective, InternalInconsistency) as exc:  # no subgroup to read off
+        ker, failure = [], str(exc)
     faithful = ker == [frame.group.identity()]
-    checks.append(("kernel_subgroup", True, f"{len(ker)} element(s): {ker}"))
+    checks.append(("kernel_subgroup", failure is None, failure or f"{len(ker)} element(s): {ker}"))
     if faithful:  # traces and inner products of the checked operators, scale d
         limit = tol.band(frame.dim)
         record("tracelessness_off_identity", max_abs(found.traces[1:]), limit)

@@ -21,6 +21,36 @@ def broadcast_tables(group, rows=slice(None)):
     return mul, diff, ((-res) % ordv) @ weight
 
 
+def all_pairs(group, stack):
+    """Best-fit alpha(a, b) = Tr(P_ab^dag P_a P_b) / d for every pair and the worst entry
+    of P_a P_b - alpha(a, b) P_ab, from all |G|^2 products: the tests' oracle for the
+    float route's bounds and its cocycle table."""
+    n, d = stack.shape[:2]
+    mul = broadcast_tables(group)[0]
+    values, worst = np.empty((n, n), dtype=np.complex128), 0.0
+    for a in range(n):
+        prod, target = stack[a] @ stack, stack[mul[a]]
+        values[a] = alpha = np.einsum("nij,nij->n", target.conj(), prod) / d
+        worst = np.maximum(worst, np.max(np.abs(prod - alpha[:, None, None] * target)))
+    return values, float(worst)
+
+
+def triple_defect(group, values):
+    """Worst |alpha(a,b) alpha(ab,c) - alpha(b,c) alpha(a,bc)| over all triples, one a at
+    a time."""
+    mul = broadcast_tables(group)[0]
+    defects = (values[a][:, None] * values[mul[a]] - values * values[a, mul]  # [b, c]
+               for a in range(group.size))
+    return float(np.max([np.max(np.abs(defect)) for defect in defects]))
+
+
+def haar_unitary(d, seed):
+    """A Haar-random d x d unitary from a seeded generator."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def qubit_power(k):
     """The qubit frame tensored with itself k times, one factor at a time."""
     power = pf.qubit_frame()

@@ -7,7 +7,6 @@ import phaseframe as pf
 from phaseframe import frames, serialize
 from phaseframe.errors import (
     EvenDimension,
-    InternalInconsistency,
     InvalidDimension,
     NotProjective,
 )
@@ -340,12 +339,40 @@ def test_kernel_and_report_rows_equal_a_per_operator_loop(name):
         assert kernel == [(0, 0, 0), (1, 0, 0)]
 
 
-def test_scalar_operators_not_closed_under_composition_are_an_internal_error():
-    # P_1 = I is scalar but P_1 P_1 = P_2 is not: no projective frame looks like this.
+def test_scalar_operators_not_closed_under_composition_are_not_projective():
+    # P_1 = I is scalar but P_1 P_1 = P_2 is not: no projective frame looks like this, and
+    # the kernel is read only off one that passes the projective rows.
     frame = pf.ProjectiveFrame(group=pf.make_group([3]), dim=2,
                                operators=(np.eye(2), np.eye(2), np.diag([1.0, -1.0])))
-    with pytest.raises(InternalInconsistency, match="not closed under composition"):
+    with pytest.raises(NotProjective, match="products leave the frame"):
         pf.kernel(frame)
+
+
+def _identity_at_a_generator() -> pf.ProjectiveFrame:
+    # weyl_frame(3) with P_(1,0) = I: scalar there, but P_(1,0)^2 = I is not P_(2,0).
+    weyl3 = pf.weyl_frame(3)
+    ops = weyl3.operators.copy()
+    ops[weyl3.group.index((1, 0))] = np.eye(3)
+    return pf.ProjectiveFrame(group=weyl3.group, operators=ops, dim=3)
+
+
+def test_kernel_of_a_non_projective_frame_raises_not_projective():
+    with pytest.raises(NotProjective, match="products leave the frame"):
+        pf.kernel(_identity_at_a_generator())
+
+
+def test_is_faithful_on_a_non_projective_frame_raises_not_projective():
+    with pytest.raises(NotProjective, match="products leave the frame"):
+        pf.is_faithful(_identity_at_a_generator())
+
+
+def test_frame_report_fails_the_kernel_row_of_a_non_projective_frame():
+    report = pf.frame_report(_identity_at_a_generator())
+    rows = {name: (ok, detail) for name, ok, detail in report["checks"]}
+    ok, detail = rows["kernel_subgroup"]
+    assert not ok and detail.startswith("products leave the frame up to scalars")
+    assert rows["projectivity"][0] is False
+    assert (report["kernel"], report["faithful"], report["passed"]) == ([], False, False)
 
 
 def test_faithful_frames_have_square_size(weyl3, weyl5, qubit_ppp, tensor_qq):

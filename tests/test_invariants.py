@@ -14,7 +14,7 @@ from phaseframe import frames
 from phaseframe.cli import main
 from phaseframe.errors import NotAFrame, NotProjective
 
-from conftest import broadcast_tables
+from conftest import all_pairs, broadcast_tables, haar_unitary, qubit_power
 
 # The exact route's cocycle is a table of roots of unity stored within a few ulp, so
 # a defect that is 0 in exact arithmetic reads up to about 16 eps in the oracle's
@@ -171,21 +171,25 @@ def _rounded_weyl5(q=None) -> pf.ProjectiveFrame:
     return pf.ProjectiveFrame(group=pf.make_group([5, 5]), operators=ops, dim=5)
 
 
-def test_identity_bound_rejects_a_rounded_frame_that_every_triple_accepts():
-    # Deliberate: rounding Weyl 5 to 9 decimals leaves every triple and every
-    # other row inside the band. Conjugated by a non-monomial unitary it takes the
-    # float route, whose bound (about 4 sqrt(5) times the projectivity residual)
-    # lies above the band; that window stays open there.
+def test_projectivity_bound_rejects_a_rounded_frame_that_every_pair_and_triple_accepts():
+    # Deliberate: rounding Weyl 5 to 9 decimals leaves every pair, every triple, the
+    # unitarity row and the unit rows inside the band. Conjugated by a non-monomial unitary
+    # it takes the float route, whose projectivity bound grows with the word length
+    # W = 8 from the generator rows and lies above the band; that window stays open there.
     band = pf.DEFAULT_TOL.band(1.0)
     rng = np.random.default_rng(17)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
     frame = _rounded_weyl5(q)
-    with pytest.raises(NotProjective, match=r"2-cocycle identity violated \(bound "):
+    with pytest.raises(NotProjective, match=r"products leave the frame up to scalars: residual "):
         pf.validate_frame(frame)
     found = frame._verified[pf.DEFAULT_TOL]
-    assert all(r <= limit for name, (r, limit) in found.residuals.items()
-               if name != "cocycle_identity")
+    bounds = ("projectivity", "cocycle_modulus", "cocycle_identity")
+    assert all(r <= limit for name, (r, limit) in found.residuals.items() if name not in bounds)
+    values, worst = all_pairs(frame.group, frame.operators)
+    assert worst <= band / 2
+    assert np.max(np.abs(np.abs(values) - 1.0)) <= band
     assert brute_force_identity_residual(frame.group, found.cocycle().values) <= band / 2
+    assert 6e-8 < found.residuals["projectivity"][0] < 6.5e-8
     assert found.residuals["cocycle_identity"][0] > 2 * band
 
 
@@ -230,6 +234,39 @@ def test_identity_check_on_four_qubits_stays_in_quadratic_memory(qubit_ppp):
     assert found.residuals["cocycle_identity"][0] < 1e-12
     # Three |G|^3 complex temporaries would take about 800 MB.
     assert peak < 50 * 2**20
+
+
+def test_float_route_on_four_qubits_reads_generator_rows_in_blocks(monkeypatch):
+    frame = qubit_power(4)
+    q = haar_unitary(frame.dim, 4)
+    frame = pf.ProjectiveFrame(group=frame.group, operators=q @ frame.operators @ q.conj().T,
+                               dim=frame.dim)
+    rows, tables = [], []
+    dense_cocycle = frames._dense_cocycle
+    monkeypatch.setattr(frames, "_dense_cocycle", lambda group, stack, a: (
+        rows.append(len(a)) or dense_cocycle(group, stack, a)))
+    monkeypatch.setattr(frames, "CocycleTable", lambda *args: tables.append(args))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        found = frames._invariant_pass(frame, pf.DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not found.exact and found.residuals["cocycle_identity"][0] < 1e-10
+    # Eight generator rows and e's, no table: no (|G|, |G|) array, 1 MiB here, is formed.
+    assert rows == [9] and tables == []
+    assert peak < 8 * frame.operators.nbytes
+
+
+def test_projectivity_bound_without_a_margin_is_infinite_and_nan_fails():
+    assert frames._projectivity_bound(3, 4, 1.0 / 3.0, 0.0, 1e-16, 1.0) == (np.inf, np.inf)
+    assert frames._projectivity_bound(3, 4, 0.0, 0.0, 1e-16, 0.0) == (np.inf, np.inf)
+    assert frames._projectivity_bound(3, 4, 0.0, 0.0, 0.0, 1.0) == (0.0, 0.0)
+    for args in [(np.nan, 0.0, 1e-16, 1.0), (0.0, np.nan, 1e-16, 1.0),
+                 (0.0, 0.0, np.nan, 1.0), (0.0, 0.0, 1e-16, np.nan)]:
+        assert np.isnan(frames._projectivity_bound(3, 4, *args)).all(), args
 
 
 # --------------------------------------------------------------------------

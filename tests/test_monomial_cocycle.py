@@ -1,11 +1,12 @@
-"""The exact route of the invariant pass against the dense products it replaces.
+"""The two routes of the invariant pass against each other and the all-pairs oracle.
 
 Every built-in frame is column-monomial with roots of unity for phases, so
 ``frames._exact_rows`` proves its invariants from integer exponents and builds
-the cocycle table only on demand. ``frames._dense_rows`` forms all |G|^2 dense
-products (``frames._dense_cocycle``) and stays the route for every other stack;
-here it is the oracle, on valid frames, on ``phase_fix`` outputs and on stacks
-that fail.
+the cocycle table only on demand. Every other stack takes ``frames._dense_rows``,
+the float route: dense products of the generator rows (``frames._dense_cocycle``)
+and proven bounds for every pair. Here the float route is the exact route's
+reference, and the |G|^2 dense products (``conftest.all_pairs``) are the float
+route's, on valid frames, on ``phase_fix`` outputs and on stacks that fail.
 """
 
 import json
@@ -20,10 +21,12 @@ from phaseframe import frames, serialize
 from phaseframe.cli import main
 from phaseframe.errors import NotProjective
 
-from conftest import broadcast_tables
+from conftest import all_pairs, broadcast_tables, haar_unitary, triple_defect
 from test_dual_frame import LADDER, _frame, _scaled_weyl3
 
 BAND = pf.DEFAULT_TOL.band(1.0)
+# Slack for the oracle's own rounding, as in test_invariants.py.
+ORACLE_ROUNDING = 16 * np.finfo(float).eps
 
 
 def _counter(monkeypatch, owner, name):
@@ -41,7 +44,16 @@ def _counter(monkeypatch, owner, name):
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    return _counter(monkeypatch, frames, "_dense_cocycle")
+    """The number of rows a in each ``_dense_cocycle`` call from here on."""
+    calls = []
+    original = frames._dense_cocycle
+
+    def counting(group, stack, rows):
+        calls.append(len(rows))
+        return original(group, stack, rows)
+
+    monkeypatch.setattr(frames, "_dense_cocycle", counting)
+    return calls
 
 
 def _rebuilt(frame: pf.ProjectiveFrame, ops=None) -> pf.ProjectiveFrame:
@@ -68,14 +80,43 @@ def _error_class(frame):
     return None
 
 
-def _assert_routes_agree(frame: pf.ProjectiveFrame):
-    """Same verdict, first failing row and error class from the default pass and the
-    oracle (the pass with the exact route switched off), and every row and the cocycle
-    within the band wherever the products are projective. Returns the default pass."""
-    found, found_class = _pass(frame), _error_class(frame)
+def _float_pass(frame: pf.ProjectiveFrame):
+    """The pass with the exact route switched off."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(frames, "_exact_rows", lambda *args: None)
-        dense, dense_class = _pass(frame), _error_class(frame)
+        return _pass(frame)
+
+
+def _assert_bounds_hold(frame: pf.ProjectiveFrame):
+    """The float route's rows against the all-pairs oracle: its projectivity, modulus and
+    cocycle-identity bounds are at least the worst pair, modulus and triple the oracle
+    finds, and its unit rows and cocycle table are the oracle's, bit for bit. Returns
+    the float route's pass."""
+    found = _float_pass(frame)
+    rows = {name: r for name, (r, _) in found.residuals.items()}
+    values, worst = all_pairs(frame.group, frame.operators)
+    assert worst <= rows["projectivity"] + ORACLE_ROUNDING
+    assert np.max(np.abs(np.abs(values) - 1.0)) <= rows["cocycle_modulus"] + ORACLE_ROUNDING
+    assert triple_defect(frame.group, values) <= rows["cocycle_identity"] + ORACLE_ROUNDING
+    pairs = values[np.arange(frame.group.size), frame.group._inv]
+    assert found.inverse_pairs.tobytes() == pairs.tobytes()
+    assert rows["cocycle_left_unit"] == np.max(np.abs(values[0] - 1.0))
+    assert rows["cocycle_right_unit"] == np.max(np.abs(values[:, 0] - 1.0))
+    assert rows["cocycle_inverse_pairs"] == np.max(np.abs(pairs - 1.0))
+    assert found.cocycle().values.tobytes() == values.tobytes()
+    return found
+
+
+def _assert_routes_agree(frame: pf.ProjectiveFrame):
+    """Same verdict, first failing row and error class from the default pass and the
+    float route, whose bounds hold against the all-pairs oracle, and every row and the
+    cocycle within the band wherever the products are projective. Returns the default
+    pass."""
+    found, found_class = _pass(frame), _error_class(frame)
+    dense = _assert_bounds_hold(frame)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames, "_exact_rows", lambda *args: None)
+        dense_class = _error_class(frame)
     assert _first_failure(found) == _first_failure(dense)
     assert found_class == dense_class
     if dense.residuals["projectivity"][0] <= BAND:
@@ -173,10 +214,11 @@ def test_a_conjugated_frame_takes_the_dense_route(dense_calls):
     conjugated = _rebuilt(frame, q @ frame.operators @ q.conj().T)
     dense_calls.clear()
     pf.validate_frame(conjugated)
-    assert dense_calls == ["_dense_cocycle"]
+    assert dense_calls == [3]  # the rows of the two generators and of e
     np.testing.assert_allclose(
         pf.cocycle_table(conjugated).values, pf.cocycle_table(frame).values, atol=1e-12
     )
+    assert dense_calls == [3, 25]  # the table, built on demand from every row
 
 
 def test_certify_and_scan_from_a_file_run_no_dense_products_and_no_svd(tmp_path, monkeypatch):
@@ -261,6 +303,77 @@ def test_rejections_keep_their_class_and_first_failing_row(build, row, dense_cal
     assert _first_failure(found) == row
     assert _error_class(frame) == NotProjective.__name__
     assert dense_calls  # every one of them is judged by the dense products
+
+
+# --------------------------------------------------------------------------
+# the float route's bounds
+
+
+def _conjugated(name: str, seed: int = 31) -> pf.ProjectiveFrame:
+    frame = _frame(name)
+    q = haar_unitary(frame.dim, seed)
+    return _rebuilt(frame, q @ frame.operators @ q.conj().T)
+
+
+@pytest.mark.parametrize("name", ["weyl3", "weyl5", "weyl7", "leonhardt2", "leonhardt3",
+                                  "leonhardt4", "z2cubed", "qubit+", "qubit^2", "qubit^3"])
+def test_conjugated_frames_pass_within_bounds_that_hold_for_every_pair(name, dense_calls):
+    frame = _conjugated(name)
+    pf.validate_frame(frame)
+    found = frame._verified[pf.DEFAULT_TOL]
+    assert not found.exact
+    assert dense_calls == [len(frame.group.orders) + 1]  # the generator rows and e's
+    assert _assert_bounds_hold(frame).residuals == found.residuals
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_phase_fix_of_a_conjugated_input_passes_within_the_bounds(d):
+    group, raw = _plain_shift_clock(d)
+    q = haar_unitary(d, d)
+    fixed = pf.phase_fix(group, q @ raw @ q.conj().T)
+    assert not fixed._verified[pf.DEFAULT_TOL].exact
+    _assert_bounds_hold(fixed)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_phase_fix_reads_alpha_of_inverse_pairs_without_the_table(d, conjugate, monkeypatch):
+    group, raw = _plain_shift_clock(d)
+    if conjugate:
+        q = haar_unitary(d, d)
+        raw = q @ raw @ q.conj().T
+    tables = _counter(monkeypatch, frames, "CocycleTable")
+    fixed = pf.phase_fix(group, raw)
+    assert tables == []
+    # The rule as it read the |G|^2 table: conj alpha(g^-1, g), with the principal square
+    # root at self-inverse g; the output is that, bit for bit.
+    found = frames._invariant_pass(pf.ProjectiveFrame(group=group, operators=raw, dim=d),
+                                   pf.DEFAULT_TOL)
+    assert found.exact is not conjugate
+    g, inv = np.arange(group.size), group._inv
+    correction = found.cocycle().values[inv, g].conj()
+    mu = np.where(g > inv, correction, np.where((g == inv) & (g > 0), np.sqrt(correction), 1.0))
+    assert fixed.operators.tobytes() == (mu[:, None, None] * raw).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["weyl3", "weyl5", "leonhardt2", "z2cubed", "qubit^2"]),
+       conjugate=st.booleans(), where=st.integers(0, 2**32 - 1),
+       exponent=st.floats(-6.0, -1.0), angle=st.floats(0.0, 2 * np.pi))
+def test_one_perturbed_entry_fails_the_pass_whichever_element(name, conjugate, where, exponent,
+                                                              angle):
+    # eps is at least 500 times the band. The float route multiplies out the generator
+    # rows only, but every element g is the right factor of each P_t P_g, so the
+    # projectivity bound sees the perturbation wherever it is.
+    frame = _conjugated(name) if conjugate else _frame(name)
+    ops = frame.operators.copy()
+    ops.reshape(-1)[where % ops.size] += 10.0**exponent * np.exp(1j * angle)
+    perturbed = _rebuilt(frame, ops)
+    with pytest.raises(NotProjective):
+        pf.validate_frame(perturbed)
+    found = perturbed._verified[pf.DEFAULT_TOL]
+    assert not found.exact
+    assert found.residuals["projectivity"][0] > BAND
 
 
 @st.composite
