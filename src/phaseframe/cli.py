@@ -137,6 +137,8 @@ def _state_from_args(args, d: int) -> tuple[np.ndarray, dict]:
 def cmd_group(args) -> int:
     if (p := args.precision) < 0:
         raise PhaseFrameError(f"--precision must be >= 0, got {p}")
+    if p > 17:  # the digits that write any double in full, as the library's .17g does
+        raise PhaseFrameError(f"--precision must be <= 17, got {p}")
     group = make_group(args.orders)
     table = character_table(group)
     n = group.size

@@ -34,7 +34,7 @@ from .errors import (
     NotProjective,
 )
 from .groups import FiniteAbelianGroup, _integer_at_least, make_group
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, max_abs
+from .linalg import DEFAULT_TOL, Tolerance, _frozen, as_matrix, max_abs
 
 __all__ = [
     "ProjectiveFrame",
@@ -63,10 +63,8 @@ __all__ = [
 class ProjectiveFrame:
     """Immutable bundle of a group and one unitary per group element.
 
-    ``operators`` is one read-only (|G|, d, d) array the frame owns, ``operators[i]``
-    the unitary of ``group.elements[i]`` (lexicographic order): a read-only C-order array
-    that owns its memory is kept, anything else copied, so the remembered invariant passes
-    stay valid. ``metadata`` records how the frame was built, for serialization.
+    ``operators`` is one (|G|, d, d) array kept or copied by :func:`linalg._frozen`, row i the
+    unitary of ``group.elements[i]`` (lexicographic order); ``metadata`` records how it was built.
     """
 
     group: FiniteAbelianGroup
@@ -77,23 +75,19 @@ class ProjectiveFrame:
 
     def __post_init__(self) -> None:
         try:
-            stack = np.asarray(self.operators, dtype=np.complex128)
+            stack = _frozen(self.operators)
         except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
             stack = np.empty(0)
         if stack.ndim != 3 or not stack.size:  # not one stack: find the operator at fault
             ops = [as_matrix(op) for op in self.operators]
             shape = next((op.shape for op in ops if op.shape != (self.dim, self.dim)), None)
-            stack = np.array(ops) if shape is None else np.broadcast_to(0.0, (len(ops), *shape))
+            stack = _frozen(ops) if shape is None else np.broadcast_to(0.0, (len(ops), *shape))
         elif not np.isfinite(stack).all():
             raise NonFinite(f"matrix of shape {stack.shape[1:]} has NaN or infinite entries")
         if len(stack) != self.group.size:
             raise GroupMismatch(f"{len(stack)} operators for a group of size {self.group.size}")
         if stack.shape[1:] != (self.dim, self.dim):
             raise DimensionMismatch(f"operator shape {stack.shape[1:]} does not match dim {self.dim}")
-        if (stack is self.operators and stack.flags.writeable or stack.base is not None
-                or not stack.flags.c_contiguous):  # writable by a caller, a view, or not C-order
-            stack = stack.copy()
-        stack.setflags(write=False)
         object.__setattr__(self, "operators", stack)
         object.__setattr__(self, "metadata", dict(self.metadata))
 
@@ -103,17 +97,15 @@ class ProjectiveFrame:
 
 @dataclass(frozen=True, eq=False)
 class CocycleTable:
-    """Scalar multiplication defects alpha(g, g') of a projective frame."""
+    """The scalars alpha(g, g') of a frame; ``values`` kept or copied by :func:`linalg._frozen`."""
 
     group: FiniteAbelianGroup
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.complex128)
-        n = self.group.size
+        arr, n = _frozen(self.values), self.group.size
         if arr.shape != (n, n):
             raise GroupMismatch(f"cocycle table shape {arr.shape}, group size {n}")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def value(self, g, h) -> complex:
@@ -159,8 +151,8 @@ _MESSAGES = {
     "unitarity": "operator not unitary: residual {r:.3e} exceeds {limit:.3e}",
     "identity_at_origin": "identity element maps to a non-identity operator (residual {r:.3e})",
     "inverse_convention": "inverse convention violated: P(g)^-1 != P(g^-1), residual {r:.3e}",
-    "projectivity": "products leave the frame up to scalars: residual {r:.3e}",
-    "cocycle_modulus": "cocycle has non-unimodular values (residual {r:.3e})",
+    "projectivity": "products leave the frame up to scalars (bound {r:.3e})",
+    "cocycle_modulus": "cocycle has non-unimodular values (bound {r:.3e})",
     "cocycle_left_unit": "alpha(e, g) != 1 (residual {r:.3e})",
     "cocycle_right_unit": "alpha(g, e) != 1 (residual {r:.3e})",
     "cocycle_inverse_pairs": "alpha(g, g^-1) != 1 (residual {r:.3e})",
@@ -251,7 +243,8 @@ def _exact_rows(group: FiniteAbelianGroup, stack: np.ndarray, band: float):
         # [a, b]: column 0 of P'_a P'_b against that of P'_ab
         k = exps[:, rows[:, 0]] + exps[:, 0]
         k -= exps[group._products(np.arange(n)), 0]
-        return CocycleTable(group=group, values=roots[k % L])
+        (values := np.take(roots, k % L)).setflags(write=False)  # C-order: the table keeps it
+        return CocycleTable(group=group, values=values)
 
     pairs = roots[(exps[np.arange(n), rows[inv, 0]] + exps[inv, 0]) % L]
     residuals = {
@@ -279,6 +272,7 @@ def _dense_cocycle(group: FiniteAbelianGroup, stack: np.ndarray, rows) -> tuple[
             values[i, block] = alpha = np.einsum("nij,nij->n", target.conj(), prod) / d
             residual = np.linalg.norm(prod - alpha[:, None, None] * target, axis=(1, 2))
             worst[i] = np.maximum(worst[i], residual.max())
+    values.setflags(write=False)  # handed over, so a table keeps it
     return values, worst
 
 
@@ -435,7 +429,8 @@ def validate_frame(frame: ProjectiveFrame, tol: Tolerance = DEFAULT_TOL) -> None
 
 def _verified(group: FiniteAbelianGroup, operators, dim: int, metadata: Mapping[str, Any],
               tol: Tolerance) -> ProjectiveFrame:
-    """The frame of ``operators``, once it passes :func:`validate_frame` at ``tol``."""
+    """The frame of a stack handed over (frozen here), once it passes :func:`validate_frame`."""
+    operators.setflags(write=False)
     frame = ProjectiveFrame(group=group, operators=operators, dim=dim, metadata=metadata)
     validate_frame(frame, tol)
     return frame
@@ -497,7 +492,7 @@ def qubit_frame(signs=(1, 1, 1), tol: Tolerance = DEFAULT_TOL) -> ProjectiveFram
 
 def trivial_frame() -> ProjectiveFrame:
     """One-element frame on a one-dimensional space; neutral for tensor products."""
-    return _verified(FiniteAbelianGroup(()), np.eye(1, dtype=np.complex128)[None], 1,
+    return _verified(FiniteAbelianGroup(()), np.ones((1, 1, 1), dtype=np.complex128), 1,
                      {"kind": "trivial", "parameters": {}}, DEFAULT_TOL)
 
 
@@ -516,7 +511,6 @@ def tensor_frame(
     ops = np.empty((group.size, dim, dim), dtype=np.complex128)
     np.multiply(a.operators[:, None, :, None, :, None], b.operators[None, :, None, :, None, :],
                 out=ops.reshape(a.group.size, b.group.size, a.dim, b.dim, a.dim, b.dim))
-    ops.setflags(write=False)
     return _verified(group, ops, dim, {"kind": "tensor", "parameters": {
         "factors": [dict(a.metadata), dict(b.metadata)]}}, tol)
 

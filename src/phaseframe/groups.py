@@ -222,9 +222,9 @@ def fourier_forward(group: FiniteAbelianGroup, values) -> np.ndarray:
 
 
 def fourier_inverse(group: FiniteAbelianGroup, values) -> np.ndarray:
-    """Inverse transform f_g = sum_j conj(chi_j(g)) f~_j, by inverse FFT."""
+    """Inverse transform f_g = sum_j conj(chi_j(g)) f~_j, |G| times the forward one at g^-1."""
     arr = _as_group_values(group, values)
-    return np.fft.ifftn(arr.reshape(group.orders)).ravel() * group.size
+    return group.size * _fourier_rows(group, arr[None])[0][group._inv]
 
 
 def translate_matrix(group: FiniteAbelianGroup, values) -> np.ndarray:

@@ -64,6 +64,17 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def _frozen(source) -> np.ndarray:
+    """``source`` as a read-only complex128 array no caller can write to, so checks on it stay
+    valid: a read-only C-order array that owns its memory (hand one over by freezing it) or a
+    fresh conversion is kept; a caller's writable array, a view or a Fortran-order one is copied."""
+    arr = np.asarray(source, dtype=np.complex128)
+    if arr is source and arr.flags.writeable or arr.base is not None or not arr.flags.c_contiguous:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite, nonempty 2-d complex128 array."""
     try:

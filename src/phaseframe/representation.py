@@ -27,7 +27,7 @@ from .errors import (
 )
 from .frames import _FRAME_CHECKS, ProjectiveFrame, _check
 from .groups import _as_distribution, _fourier_rows
-from .linalg import DEFAULT_TOL, Tolerance, max_abs, require_hermitian
+from .linalg import DEFAULT_TOL, Tolerance, _frozen, max_abs, require_hermitian
 
 __all__ = [
     "QuasiProbRepresentation",
@@ -44,21 +44,16 @@ __all__ = [
 class QuasiProbRepresentation:
     """A projective frame with its Fourier frame; the canonical dual frame is D_j = d F_j.
 
-    ``fourier_ops[i]`` is indexed by the dual element ``frame.group.elements[i]`` (the dual
-    of a finite abelian group is identified with the group itself, in the same lexicographic
-    order). It is one read-only (|G|, d, d) array the representation owns, copied if a
-    caller could write to it. The D_j are not stored: :func:`reconstruct` forms them.
+    ``fourier_ops`` is one (|G|, d, d) array kept or copied by :func:`linalg._frozen`; row i
+    belongs to the dual element ``frame.group.elements[i]`` (the dual of a finite abelian group
+    is identified with the group itself, in the same order). :func:`reconstruct` forms the D_j.
     """
 
     frame: ProjectiveFrame
     fourier_ops: np.ndarray
 
     def __post_init__(self) -> None:
-        ops = np.asarray(self.fourier_ops, dtype=np.complex128)
-        if ops.flags.writeable or ops.base is not None:  # a caller could write to it
-            ops = ops.copy()
-            ops.setflags(write=False)
-        object.__setattr__(self, "fourier_ops", ops)
+        object.__setattr__(self, "fourier_ops", _frozen(self.fourier_ops))
 
     @property
     def dim(self) -> int:

@@ -184,7 +184,7 @@ def _frame_from_json(data, tol: Tolerance, may_hold_bools: bool) -> ProjectiveFr
         operators.append(op)
     if not isinstance(metadata := data.get("metadata", {}), dict):
         raise FrameFileError("metadata must be a JSON object")
-    return _verified(group, operators, dim, metadata, tol)
+    return _verified(group, np.array(operators), dim, metadata, tol)
 
 
 def _dumps(path, obj) -> str:

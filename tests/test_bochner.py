@@ -335,6 +335,11 @@ def test_scan_empty(weyl3_rep):
     assert result.n_valid == result.n_positive == 0
 
 
+def test_scan_rejects_a_label_count_that_does_not_match_the_states(weyl3_rep):
+    with pytest.raises(ShapeMismatch, match="^2 labels for 1 states$"):
+        pf.scan(weyl3_rep, [pf.maximally_mixed(3)], labels=["a", "b"])
+
+
 def test_scan_records_per_row_failures(weyl3_rep):
     states = [pf.maximally_mixed(3), 2 * pf.maximally_mixed(3), pf.basis_state(3, 1)]
     result = pf.scan(weyl3_rep, states)

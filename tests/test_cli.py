@@ -9,7 +9,7 @@ import pytest
 
 import phaseframe as pf
 from phaseframe import groups, serialize
-from phaseframe.cli import main
+from phaseframe.cli import main, parse_state_spec
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +217,39 @@ def test_certify_distribution_input(tmp_path, frame_files, capsys):
     assert data["input_mu_min"] >= -1e-12
 
 
+def test_certify_a_distribution_at_the_boundary_exits_five(tmp_path, frame_files, capsys):
+    # mu of basis:0 on Weyl 3 with a zero entry lowered by 1e-9 and the largest raised by
+    # 1e-9: still normalized, and negative by less than the band, so the certificate's
+    # spectra and the oracle's disagree at this tolerance.
+    frame = serialize.load_frame(frame_files["weyl3"])
+    mu = pf.represent(pf.build_representation(frame), pf.basis_state(3, 0))
+    mu[np.flatnonzero(mu == 0)[0]] -= 1e-9
+    mu[np.argmax(mu)] += 1e-9
+    path = tmp_path / "mu.csv"
+    path.write_bytes(serialize.distribution_csv_bytes(frame.group, mu))
+    capsys.readouterr()
+    assert main(["certify", "--frame", str(frame_files["weyl3"]),
+                 "--distribution", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith(
+        "verdict: BOUNDARY (certificate and oracle disagree at this tolerance)\n")
+
+
+@pytest.mark.parametrize("spec, state", [
+    ("conjugate:2", lambda: pf.conjugate_basis_state(5, 2)),
+    ("random-density:7", lambda: pf.random_density(5, 7)),
+    ("random-herm:7", lambda: pf.random_hermitian_trace1(5, 7)),
+])
+def test_parse_state_spec_builds_the_named_state(spec, state):
+    np.testing.assert_array_equal(parse_state_spec(spec, 5), state())
+
+
+def test_parse_state_spec_rejects_a_malformed_argument():
+    with pytest.raises(pf.PhaseFrameError, match="malformed state spec 'basis:x': invalid literal"):
+        parse_state_spec("basis:x", 3)
+
+
 def test_certify_bad_state_spec(frame_files, capsys):
     assert main([
         "certify", "--frame", str(frame_files["weyl3"]), "--state", "nonsense:1",
@@ -355,6 +388,22 @@ def test_group_rejects_a_negative_precision(capsys):
     assert main(["group", "2", "2", "--precision", "-1"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: --precision must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("precision", [18, 2147483648, 10**20])
+def test_group_rejects_a_precision_beyond_a_full_double(capsys, precision):
+    # 17 digits write any double in full; larger values once printed half the table and
+    # then a raw ValueError, or formatted a gigabyte string per entry.
+    assert main(["group", "2", "--precision", str(precision)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: --precision must be <= 17, got {precision}\n")
+
+
+def test_group_prints_at_full_double_precision(capsys):
+    assert main(["group", "2", "--precision", "17"]) == 0
+    assert "  (1)  +1.00000000000000000+0.00000000000000000j -1.00000000000000000" in (
+        capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("argv", [

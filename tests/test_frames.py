@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import phaseframe as pf
-from phaseframe import frames, serialize
+from phaseframe import frames, linalg, serialize
 from phaseframe.errors import (
+    DimensionMismatch,
     EvenDimension,
+    GroupMismatch,
     InvalidDimension,
     NotProjective,
 )
 
-from conftest import broadcast_tables, qubit_power
+from conftest import broadcast_tables, haar_unitary, qubit_power
 
 Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -527,6 +529,92 @@ def test_every_constructor_returns_one_owned_read_only_verified_array(weyl3):
         assert ops.base is None and not ops.flags.writeable, name
         assert pf.DEFAULT_TOL in frame._verified, name  # validated before it was returned
         assert not hasattr(frame, "stack") and not hasattr(frame, "_stack"), name
+
+
+def test_every_constructor_hands_its_stack_over_uncopied(weyl3, monkeypatch):
+    # Each built-in constructor, phase_fix and the frame-file reader give linalg._frozen a
+    # stack they have just built, frozen, and get that very array back as the frame's; the
+    # cocycle tables of both invariant routes are handed over the same way.
+    qubit, rephased = pf.qubit_frame(), 1j ** (np.arange(16) % 4)[:, None, None]
+    text = serialize.frame_to_json(weyl3)
+    u = haar_unitary(3, 5)
+    conjugated = pf.ProjectiveFrame(group=weyl3.group, operators=u @ weyl3.operators @ u.conj().T,
+                                    dim=3)
+    builds = {
+        "weyl": lambda: pf.weyl_frame(5).operators,
+        "leonhardt": lambda: pf.leonhardt_frame(3).operators,
+        "qubit": lambda: pf.qubit_frame((1, -1, 1)).operators,
+        "z2cubed": lambda: pf.z2cubed_frame().operators,
+        "tensor": lambda: pf.tensor_frame(weyl3, qubit).operators,
+        "phase_fix": lambda: pf.phase_fix(
+            pf.make_group([2] * 4), rephased * pf.tensor_frame(qubit, qubit).operators).operators,
+        "reader": lambda: serialize.frame_from_json(text).operators,
+        "exact cocycle": lambda: pf.cocycle_table(pf.weyl_frame(3)).values,
+        "float cocycle": lambda: pf.cocycle_table(conjugated).values,
+    }
+    calls, frozen = [], linalg._frozen
+
+    def spy(source):
+        calls.append((source, kept := frozen(source)))
+        return kept
+
+    monkeypatch.setattr(frames, "_frozen", spy)
+    for name, build in builds.items():
+        calls.clear()
+        array = build()
+        source, kept = calls[-1]
+        assert source is kept is array, name
+        assert all(kept is source for source, kept in calls if isinstance(source, np.ndarray)), name
+
+
+def test_the_keep_or_copy_rule():
+    owned = np.array([[0, 1], [2, 3]], dtype=np.complex128)
+    owned.setflags(write=False)
+    assert linalg._frozen(owned) is owned
+    fortran = np.asfortranarray(owned)
+    fortran.setflags(write=False)
+    writable = owned.copy()
+    for source in (writable, owned[:], fortran):
+        kept = linalg._frozen(source)
+        assert kept is not source and not np.shares_memory(kept, source)
+        assert kept.base is None and kept.flags.c_contiguous and not kept.flags.writeable
+        np.testing.assert_array_equal(kept, owned)
+    assert writable.flags.writeable
+    converted = linalg._frozen([[0, 1], [2, 3]])  # a fresh conversion, kept as made
+    assert converted.dtype == np.complex128 and converted.base is None
+    assert not converted.flags.writeable
+
+
+def test_cocycle_table_copies_a_callers_array_and_leaves_it_writable():
+    group = pf.make_group([3])
+    values = np.ones((3, 3), dtype=complex)
+    table = pf.CocycleTable(group=group, values=values)
+    assert values.flags.writeable and not np.shares_memory(table.values, values)
+    base = np.ones((3, 3), dtype=complex)
+    table = pf.CocycleTable(group=group, values=base[:])
+    base[0, 0] = 5
+    assert table.values[0, 0] == 1 and not table.values.flags.writeable
+
+
+def test_cocycle_table_rejects_a_table_of_the_wrong_shape():
+    with pytest.raises(GroupMismatch, match=r"^cocycle table shape \(3, 3\), group size 9$"):
+        pf.CocycleTable(group=pf.make_group([3, 3]), values=np.ones((3, 3)))
+
+
+def test_frame_rejects_the_wrong_operator_count(weyl3):
+    with pytest.raises(GroupMismatch, match="^8 operators for a group of size 9$"):
+        pf.ProjectiveFrame(group=weyl3.group, operators=weyl3.operators[:8], dim=3)
+
+
+def test_frame_rejects_operators_of_the_wrong_shape(weyl3):
+    with pytest.raises(DimensionMismatch, match=r"^operator shape \(3, 3\) does not match dim 2$"):
+        pf.ProjectiveFrame(group=weyl3.group, operators=weyl3.operators, dim=2)
+
+
+def test_frame_names_the_operator_at_fault_in_a_ragged_list(weyl3):
+    ops = [*weyl3.operators[:4], np.eye(2), *weyl3.operators[5:]]
+    with pytest.raises(DimensionMismatch, match=r"^operator shape \(2, 2\) does not match dim 3$"):
+        pf.ProjectiveFrame(group=weyl3.group, operators=ops, dim=3)
 
 
 def _bits(ops):

@@ -180,7 +180,7 @@ def test_projectivity_bound_rejects_a_rounded_frame_that_every_pair_and_triple_a
     rng = np.random.default_rng(17)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
     frame = _rounded_weyl5(q)
-    with pytest.raises(NotProjective, match=r"products leave the frame up to scalars: residual "):
+    with pytest.raises(NotProjective, match=r"products leave the frame up to scalars \(bound "):
         pf.validate_frame(frame)
     found = frame._verified[pf.DEFAULT_TOL]
     bounds = ("projectivity", "cocycle_modulus", "cocycle_identity")
