@@ -39,6 +39,7 @@ from .groups import character_table, make_group
 from .linalg import DEFAULT_TOL, max_abs
 from .representation import build_representation, characteristic, represent
 from .serialize import (
+    _new_files_removed_on_error,
     certificate_to_json,
     distribution_csv_bytes,
     element_str,
@@ -74,19 +75,6 @@ def _load_verified_frame(path: str):
         raise
     except PhaseFrameError as exc:
         raise _FrameInvalid(f"frame verification failed: {exc}") from exc
-
-
-def _write_files(outputs: dict) -> None:
-    """Write each path's bytes; if a write fails, remove the files this call created
-    before raising, so that a command exiting 1 leaves no new file."""
-    created = [path for path in outputs if not Path(path).exists()]
-    try:
-        for path, data in outputs.items():
-            Path(path).write_bytes(data)
-    except OSError:
-        for path in created:
-            Path(path).unlink(missing_ok=True)
-        raise
 
 
 # --------------------------------------------------------------------------
@@ -200,6 +188,8 @@ def cmd_frame_build(args) -> int:
 
 
 def cmd_represent(args) -> int:
+    if args.phi and Path(args.out).resolve() == Path(args.phi).resolve():
+        raise PhaseFrameError(f"--out {args.out} and --phi {args.phi} name the same file")
     frame, _ = _load_verified_frame(args.frame)
     rho, _ = _state_from_args(args, frame.dim)
     rep = build_representation(frame, DEFAULT_TOL)
@@ -212,7 +202,9 @@ def cmd_represent(args) -> int:
     outputs = {args.out: distribution_csv_bytes(frame.group, mu)}
     if args.phi:
         outputs[args.phi] = phi_csv_bytes(frame.group, characteristic(rep, rho, DEFAULT_TOL))
-    _write_files(outputs)
+    with _new_files_removed_on_error(outputs):  # so that an exit 1 leaves no new file
+        for path, data in outputs.items():
+            Path(path).write_bytes(data)
     print(f"wrote {args.out}: {frame.group.size} rows, total = {total:.12g}")
     if args.phi:
         print(f"wrote {args.phi}")

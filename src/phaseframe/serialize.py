@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -204,29 +203,48 @@ def save_json(path, obj) -> None:
 
 
 def save_frame(frame: ProjectiveFrame, path) -> None:
-    """Stream what :func:`save_json` writes of :func:`frame_to_json` in blocks of matrices, once the
-    stdlib has rendered the payload with a 0 per matrix; each distinct float is rendered once."""
-    stack = frame.operators  # complex128, C-contiguous: viewed as [re, im] pairs
-    # Keys sort as dim, elements, group, metadata, schema_version, and an entry holds only its
-    # g besides: the first |G| hits are the matrix slots in order, whatever the metadata holds.
-    pieces = _dumps(path, _frame_payload(frame, [0] * len(stack))).split('"matrix": 0', len(stack))
-    layout = json.dumps(np.zeros((frame.dim, frame.dim, 2)).tolist(), indent=2)
-    parts = re.split(r"(0\.0)", '"matrix": ' + layout.replace("\n", "\n" + " " * 6))  # entry depth
-    heads = [pieces[0] + parts[0]] + [parts[-1] + piece + parts[0] for piece in pieces[1:-1]]
-    bits = stack.view(np.uint64).reshape(len(stack), -1)  # so that 0.0 and -0.0 stay apart
+    """Stream what :func:`save_json` writes of :func:`frame_to_json`, in blocks of matrices, from
+    three stdlib renders (the payload with element 0's entry, that entry, a 2 x 2 zero matrix) and
+    each distinct float rendered once, fused with each separator that can follow it."""
+    payload = _dumps(path, _frame_payload(frame, [0]))
+    entry = json.dumps({"g": [0] * len(frame.group.orders), "matrix": 0}, indent=2)
+    # Keys sort as dim, elements, ...: the first copy is element 0's entry, whatever the metadata.
+    before, entry, after = payload.partition(entry.replace("\n", "\n" + " " * 4))
+    *slots, end = entry.split("0")  # the k residue slots, then the matrix slot
+    layout = json.dumps(np.zeros((2, 2, 2)).tolist(), indent=2).replace("\n", "\n" + " " * 6)
+    opening, re_im, pair, _, row, _, _, _, closing = layout.split("0.0")
+    head = "%d".join(slots) + opening  # %d writes an int residue as the encoder does
+    heads = np.array([(closing + end + ",\n" + " " * 4 if pos else before) + head % g
+                      for pos, g in enumerate(frame.group.elements)], object)[:, None]
+    bits = frame.operators.view(np.uint64).reshape(frame.group.size, -1)  # [re, im]; -0.0 apart
     nonzero = (bits << np.uint64(1)) != 0  # the rest are 0.0 and -0.0, told by the sign bit
     distinct, index = np.unique(bits[nonzero], return_inverse=True)
-    table = np.array(["0.0", "-0.0", *map(float.__repr__, distinct.view(float).tolist())], object)
-    tokens = bits >> np.uint64(63)
-    tokens[nonzero] = index + 2
+    floats = np.array(["0.0", "-0.0", *map(float.__repr__, distinct.view(float).tolist())], object)
+    table = (floats[:, None] + np.array([re_im, pair, row, ""], object)).ravel()  # 4 x token + class
+    codes = bits >> np.uint64(63)  # each float's token, in place of its bits
+    codes[nonzero] = index + 2
+    follows = np.zeros((frame.dim, frame.dim, 2), np.uint64)  # the class of what follows a float:
+    follows[..., 1], follows[:, -1, 1], follows[-1, -1, 1] = 1, 2, 3  # re -> im, pair, row, none
+    codes <<= np.uint64(2)  # then the float's index into the table, in place
+    codes |= follows.reshape(-1)
     per_block = max(1, 4096 // bits.shape[1])  # whole matrices, about 4096 floats a block
-    with open(path, "w", encoding="utf-8") as out:
-        for lo in range(0, len(stack), per_block):
-            text = ([None] + parts[1:-1]) * min(per_block, len(stack) - lo)  # a slot per token
-            text[::len(parts) - 1] = heads[lo:lo + per_block]  # the text before each matrix
-            text[1::2] = table[tokens[lo:lo + per_block]].ravel().tolist()
-            out.write("".join(text))
-        out.write(parts[-1] + pieces[-1] + "\n")
+    with _new_files_removed_on_error([path]), open(path, "w", encoding="utf-8") as out:
+        for lo in range(0, len(bits), per_block):
+            text = np.concatenate((heads[lo:lo + per_block], table[codes[lo:lo + per_block]]), 1)
+            out.write("".join(text.ravel().tolist()))
+        out.write(closing + end + after + "\n")
+
+
+@contextlib.contextmanager
+def _new_files_removed_on_error(paths):
+    """On an OSError (a full disk partway through a write), remove the ``paths`` that were new."""
+    created = [path for path in paths if not Path(path).exists()]
+    try:
+        yield
+    except OSError:
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _read_text(path, what: str) -> tuple[str, bytes]:

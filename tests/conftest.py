@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import phaseframe as pf
-from phaseframe import groups
+from phaseframe import groups, serialize
 
 
 def broadcast_tables(group, rows=slice(None)):
@@ -49,6 +49,34 @@ def haar_unitary(d, seed):
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class _SecondWriteFails:
+    """A text file whose second write raises, as a disk that fills up partway would."""
+
+    def __init__(self, file, writes):
+        self.file, self.writes = file, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def write(self, text):
+        self.writes.append(len(text))
+        if len(self.writes) == 2:
+            raise OSError(28, "No space left on device")
+        return self.file.write(text)
+
+
+@pytest.fixture
+def second_write_fails(monkeypatch):
+    """Make the second write to a file the frame writer opens raise; returns the writes tried."""
+    writes = []
+    monkeypatch.setattr(serialize, "open", lambda *args, **kwargs: _SecondWriteFails(
+        open(*args, **kwargs), writes), raising=False)
+    return writes
 
 
 def qubit_power(k):

@@ -609,6 +609,35 @@ def test_represent_leaves_no_file_when_phi_cannot_be_written(tmp_path, frame_fil
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out, phi", [("d.csv", "d.csv"), ("./d.csv", "d.csv"),
+                                      ("d.csv", "sub/../d.csv")])
+def test_represent_rejects_out_and_phi_that_name_one_file(
+        tmp_path, frame_files, monkeypatch, capsys, out, phi):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["represent", "--frame", str(frame_files["qubit"]), "--state", "mixed",
+                 "--out", out, "--phi", phi]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out} and --phi {phi} name the same file\n"
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_represent_checks_its_output_paths_before_it_reads_the_frame(tmp_path, capsys):
+    assert main(["represent", "--frame", str(tmp_path / "missing.json"), "--state", "mixed",
+                 "--out", str(tmp_path / "d.csv"), "--phi", str(tmp_path / "d.csv")]) == 1
+    assert "name the same file" in capsys.readouterr().err
+
+
+def test_frame_build_that_fails_partway_exits_one_and_leaves_no_file(
+        tmp_path, second_write_fails, capsys):
+    out = tmp_path / "weyl13.json"  # the frame writer streams: the first block is written
+    assert main(["frame", "build", "weyl", "--d", "13", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert len(second_write_fails) == 2 and list(tmp_path.iterdir()) == []
+
+
 def test_represent_overwrites_an_existing_out_and_keeps_it_when_phi_fails(tmp_path, frame_files):
     # Only files the call created are removed: an --out that was there stays.
     out = tmp_path / "mu.csv"

@@ -283,6 +283,20 @@ def _signed_zeros(tmp_path):
     return pf.ProjectiveFrame(group=pf.make_group([5, 5]), operators=ops, dim=5)
 
 
+def _random_z12_unitaries(tmp_path):
+    # One factor with two-digit residues, so that each residue slot is written wider than its 0.
+    rng = np.random.default_rng(12)
+    ops = np.linalg.qr(rng.normal(size=(12, 3, 3)) + 1j * rng.normal(size=(12, 3, 3)))[0]
+    return pf.ProjectiveFrame(group=pf.make_group([12]), operators=ops, dim=3)
+
+
+def _weyl3_with_an_entry_in_its_metadata(tmp_path):
+    # The metadata's text is element 0's entry, at the same depth, after the elements list.
+    weyl3 = pf.weyl_frame(3)
+    return pf.ProjectiveFrame(group=weyl3.group, operators=weyl3.operators, dim=3,
+                              metadata={"x": {"g": [0, 0], "matrix": 0}})
+
+
 LADDER = {
     **{f"weyl{d}": (lambda tmp, d=d: pf.weyl_frame(d)) for d in (3, 5, 7, 9, 11, 13)},
     **{f"leonhardt{d}": (lambda tmp, d=d: pf.leonhardt_frame(d)) for d in (2, 3, 4, 5, 6)},
@@ -295,6 +309,9 @@ LADDER = {
     "z2-random48": _random_z2_pair,
     "weyl3^2-partial-block": _partial_last_block,
     "weyl5-signed-zeros": _signed_zeros,
+    "trivial": lambda tmp: pf.trivial_frame(),
+    "z12-random-unitaries": _random_z12_unitaries,
+    "weyl3-entry-metadata": _weyl3_with_an_entry_in_its_metadata,
 }
 
 
@@ -316,15 +333,61 @@ def test_a_read_only_fortran_order_frame_is_written_as_its_c_order_frame(tmp_pat
     assert (tmp_path / "fortran.json").read_bytes() == (tmp_path / "c.json").read_bytes()
 
 
-def test_save_frame_peak_memory_stays_below_the_file_size(tmp_path):
-    frame, path = pf.weyl_frame(13), tmp_path / "weyl13.json"
+def _traced_peak_of_save_frame(frame, path) -> int:
     tracemalloc.start()
     try:
         serialize.save_frame(frame, path)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_save_frame_peak_memory_stays_below_the_file_size(tmp_path):
+    frame, path = pf.weyl_frame(13), tmp_path / "weyl13.json"
+    peak = _traced_peak_of_save_frame(frame, path)
     assert peak < path.stat().st_size
+
+
+@pytest.mark.parametrize("name, bound", [("weyl13", 1.02e6), ("qubit^4", 1.76e6)])
+def test_save_frame_peak_memory_stays_below_the_file_size_and_the_bound(tmp_path, name, bound):
+    # The bounds are the peaks of the writer that split an |G|-entry skeleton, on Python 3.11.
+    path = tmp_path / "frame.json"
+    peak = _traced_peak_of_save_frame(LADDER[name](tmp_path), path)
+    assert peak < path.stat().st_size
+    assert peak <= bound
+
+
+def test_save_frame_calls_the_stdlib_encoder_a_fixed_number_of_times(tmp_path, monkeypatch):
+    frames = {name: LADDER[name](tmp_path) for name in ("weyl3", "weyl13", "qubit^4")}
+    rendered = []
+    dumps = json.dumps
+
+    def spy(obj, **kwargs):
+        rendered.append(dumps(obj, **kwargs))
+        return rendered[-1]
+
+    monkeypatch.setattr(serialize.json, "dumps", spy)
+    calls = {}
+    for name, frame in frames.items():
+        rendered.clear()
+        serialize.save_frame(frame, tmp_path / f"{name}.json")
+        calls[name] = len(rendered)
+        # The encoder renders one entry and one 2 x 2 matrix, not |G| entries or a d x d layout.
+        assert sum(map(len, rendered)) < 2000 + len(dumps(frame.metadata, indent=2))
+    assert len(set(calls.values())) == 1, calls
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_a_frame_write_that_fails_partway_removes_only_a_file_it_created(
+        tmp_path, second_write_fails, existed):
+    path = tmp_path / "weyl13.json"  # Weyl 13 writes 15 blocks of 12 matrices each
+    if existed:
+        path.write_text("old\n")
+    with pytest.raises(OSError, match="No space left on device"):
+        serialize.save_frame(pf.weyl_frame(13), path)
+    assert len(second_write_fails) == 2 and path.exists() is existed
+    if existed:  # overwritten by the first block, not removed
+        assert path.read_text(encoding="utf-8").startswith('{\n  "dim": 13,\n')
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -481,8 +544,8 @@ def test_frame_files_round_trip_byte_for_byte(first, second):
         assert _rewritten(path, serialize.load_frame, serialize.save_frame) == path.read_bytes()
 
 
-@pytest.mark.parametrize("name", [n for n in LADDER if n not in ("weyl11-read-back",
-                                                                  "z2-random48")])
+@pytest.mark.parametrize("name", [n for n in LADDER if n not in ("weyl11-read-back", "z2-random48",
+                                                                  "z12-random-unitaries")])
 def test_ladder_frame_files_round_trip_byte_for_byte(tmp_path, name):
     path = tmp_path / "frame.json"
     serialize.save_frame(LADDER[name](tmp_path), path)
